@@ -11,6 +11,7 @@ import csv
 import functools
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -175,6 +176,14 @@ def _simulate_one(args) -> None:
     write_trace_csv(sim_dir / "trace.csv", traces)
 
 
+def pool_size(requested: int, n_tasks: int, cpus: int | None) -> int:
+    """Worker processes for `simulate --jobs requested`: at most one per CPU
+    and one per simulation; 1 means run in this process."""
+    if requested < 1:
+        raise click.UsageError(f"--jobs must be at least 1, got {requested}")
+    return max(1, min(requested, cpus or 1, n_tasks))
+
+
 def _require(path: Path, prior: str) -> Path:
     if not path.exists():
         raise click.ClickException(f"missing {path}; run `simsurrogate {prior}` first")
@@ -224,7 +233,6 @@ def simulate(manifest_path, job_classes, **flags):
     """Generate workloads and run the simulator over the scenario suite."""
     man = resolve_manifest(manifest_path, job_classes=job_classes, **flags)
     base = _scenario_dir(man)
-    base.mkdir(parents=True, exist_ok=True)
     sims = []
     tasks = []
     sim_id = 0
@@ -235,8 +243,10 @@ def simulate(manifest_path, job_classes, **flags):
             tasks.append((man.scenario, sim_id, entry.n_jobs, man.seed,
                           base / f"sim_{sim_id}", man.job_classes or None))
             sim_id += 1
-    if man.jobs > 1:
-        with ProcessPoolExecutor(max_workers=man.jobs) as pool:
+    workers = pool_size(man.jobs, len(tasks), os.cpu_count())
+    base.mkdir(parents=True, exist_ok=True)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_simulate_one, tasks))
     else:
         for task in tasks:

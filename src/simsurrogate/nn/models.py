@@ -226,29 +226,49 @@ def model_forward(config: ModelConfig, p: dict[str, Tensor], windows: np.ndarray
 
 # Inference-only forward pass ----------------------------------------------
 #
-# Plain-numpy mirror of model_forward with the per-gate matmuls fused, used
-# where no gradients are needed (prediction, benchmarking).  Kept in sync by
-# an equivalence test against the autodiff path.
+# Plain-numpy mirror of model_forward with the per-gate and the Q/K/V matmuls
+# fused and the transformer's buffers reused in place, used where no gradients
+# are needed (prediction, benchmarking).  Kept in sync by an equivalence test
+# against the autodiff path.
 
 def _np_sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _np_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _np_softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _np_layer_norm(x, g, b, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps) * g + b
+    """Layer norm over the last axis into a new buffer; x is left as it is."""
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = (out * out).mean(axis=-1, keepdims=True)
+    var += eps
+    out /= np.sqrt(var, out=var)
+    out *= g
+    out += b
+    return out
 
 
-def _np_gelu(x):
-    inner = 0.7978845608028654 * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+def _np_gelu_(x: np.ndarray) -> np.ndarray:
+    """The tanh-approximate GELU of _gelu, computed in place in x.
+
+    The cube is x * x * x: numpy sends x**3 through pow, which costs several
+    times the rest of the function."""
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= 0.7978845608028654
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    x *= 0.5
+    x *= inner
+    return x
 
 
 def _infer_direction(x: np.ndarray, p: dict[str, np.ndarray], prefix: str,
@@ -294,38 +314,59 @@ def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
         raise ModelConfigError(
             f"window feature dim {x.shape[-1]} != config.input_dim {config.input_dim}"
         )
+    if config.architecture == "transformer":
+        return _transformer_infer(config, params, x, mask)
     h = x @ params["embed.W"] + params["embed.b"]
     hid = config.hidden_size
-    if config.architecture in ("bigru", "bilstm"):
-        for layer in range(config.num_layers):
-            fwd = _infer_direction(h, params, f"rnn{layer}.fwd", hid,
-                                   config.architecture, reverse=False)
-            bwd = _infer_direction(h, params, f"rnn{layer}.bwd", hid,
-                                   config.architecture, reverse=True)
-            h = np.concatenate([fwd, bwd], axis=-1)
-    else:
-        batch, seq_len = x.shape[0], x.shape[1]
-        d_head = hid // config.num_heads
-        h = h + sinusoidal_encoding(seq_len, hid)
-        key_mask = None if mask is None else np.asarray(mask, dtype=bool)[:, None, None, :]
-        for layer in range(config.num_layers):
-            pre = f"enc{layer}"
-            normed = _np_layer_norm(h, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-
-            def heads(t):
-                return t.reshape(batch, seq_len, config.num_heads, d_head).transpose(0, 2, 1, 3)
-
-            q = heads(normed @ params[f"{pre}.Wq"] + params[f"{pre}.bq"])
-            k = heads(normed @ params[f"{pre}.Wk"] + params[f"{pre}.bk"])
-            v = heads(normed @ params[f"{pre}.Wv"] + params[f"{pre}.bv"])
-            scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d_head))
-            if key_mask is not None:
-                scores = np.where(key_mask, scores, -1e30)
-            mixed = _np_softmax(scores, axis=-1) @ v
-            merged = mixed.transpose(0, 2, 1, 3).reshape(batch, seq_len, hid)
-            h = h + (merged @ params[f"{pre}.Wo"] + params[f"{pre}.bo"])
-            normed = _np_layer_norm(h, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-            ff = _np_gelu(normed @ params[f"{pre}.ff.W1"] + params[f"{pre}.ff.b1"])
-            h = h + (ff @ params[f"{pre}.ff.W2"] + params[f"{pre}.ff.b2"])
-        h = _np_layer_norm(h, params["final_ln.g"], params["final_ln.b"])
+    for layer in range(config.num_layers):
+        fwd = _infer_direction(h, params, f"rnn{layer}.fwd", hid,
+                               config.architecture, reverse=False)
+        bwd = _infer_direction(h, params, f"rnn{layer}.bwd", hid,
+                               config.architecture, reverse=True)
+        h = np.concatenate([fwd, bwd], axis=-1)
     return h @ params["out.W"] + params["out.b"]
+
+
+def _transformer_infer(config: ModelConfig, params: dict[str, np.ndarray],
+                       x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The transformer branch of model_forward_infer.
+
+    Activations stay a 2-D [batch*T, hidden] array; only the attention scores
+    are 4-D.  Q, K and V come from one fused [hidden, 3*hidden] matmul, with
+    the 1/sqrt(d_head) score scale folded into the Q columns."""
+    batch, seq_len = x.shape[0], x.shape[1]
+    hid, n_heads = config.hidden_size, config.num_heads
+    d_head = hid // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    h = x.reshape(batch * seq_len, config.input_dim) @ params["embed.W"]
+    h += params["embed.b"]
+    h3 = h.reshape(batch, seq_len, hid)  # a view: adds into h
+    h3 += sinusoidal_encoding(seq_len, hid)
+    pad = None
+    if mask is not None and not np.all(mask):
+        pad = ~np.asarray(mask, dtype=bool)[:, None, None, :]
+    for layer in range(config.num_layers):
+        pre = f"enc{layer}"
+        w_qkv = np.concatenate([params[f"{pre}.Wq"] * scale, params[f"{pre}.Wk"],
+                                params[f"{pre}.Wv"]], axis=1)
+        b_qkv = np.concatenate([params[f"{pre}.bq"] * scale, params[f"{pre}.bk"],
+                                params[f"{pre}.bv"]])
+        qkv = _np_layer_norm(h, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"]) @ w_qkv
+        qkv += b_qkv
+        # [batch, T, 3, heads, d_head] -> three [batch, heads, T, d_head] views
+        q, k, v = qkv.reshape(batch, seq_len, 3, n_heads, d_head).transpose(2, 0, 3, 1, 4)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        if pad is not None:
+            np.copyto(scores, -1e30, where=pad)
+        mixed = _np_softmax_(scores) @ v  # [batch, heads, T, d_head]
+        h += mixed.transpose(0, 2, 1, 3).reshape(batch * seq_len, hid) @ params[f"{pre}.Wo"]
+        h += params[f"{pre}.bo"]
+        normed = _np_layer_norm(h, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
+        ff = normed @ params[f"{pre}.ff.W1"]
+        ff += params[f"{pre}.ff.b1"]
+        h += _np_gelu_(ff) @ params[f"{pre}.ff.W2"]
+        h += params[f"{pre}.ff.b2"]
+    h = _np_layer_norm(h, params["final_ln.g"], params["final_ln.b"])
+    out = h @ params["out.W"]
+    out += params["out.b"]
+    return out.reshape(batch, seq_len, config.output_dim)

@@ -214,7 +214,10 @@ def read_samples_csv(path: str | Path) -> SampleTable:
     scenario = rows[0][0]
     feats = feature_names(scenario)
     n_feat = len(feats)
-    assert tuple(header[3:3 + n_feat]) == feats, "sample file feature order mismatch"
+    expected = ("scenario", "simulation_id", "job_index") + feats + TARGET_OBSERVABLES
+    if tuple(header) != expected:
+        raise JoinError(f"{path}: header {header} does not match the {scenario} "
+                        f"sample columns {list(expected)}")
     sim_ids = np.asarray([int(r[1]) for r in rows], dtype=np.int64)
     job_ix = np.asarray([int(r[2]) for r in rows], dtype=np.int64)
     features = np.asarray([[float(v) for v in r[3:3 + n_feat]] for r in rows])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,16 +73,13 @@ def _try_replace(base: ModelConfig, **changes) -> ModelConfig | None:
 
 def _sample_config(rng: np.random.Generator, space: SearchSpace,
                    base: ModelConfig) -> ModelConfig:
+    names = COORDINATE_ORDER + ("num_heads",)
+    combos = itertools.product(*(space.candidates(n) for n in names))
+    if all(_try_replace(base, **dict(zip(names, c))) is None for c in combos):
+        raise TrainingError("no combination in the search space is a valid "
+                            f"{base.architecture} config")
     while True:
-        cfg = _try_replace(
-            base,
-            hidden_size=int(rng.choice(space.hidden_size)),
-            window_size=int(rng.choice(space.window_size)),
-            window_overlap=int(rng.choice(space.window_overlap)),
-            num_layers=int(rng.choice(space.num_layers)),
-            batch_size=int(rng.choice(space.batch_size)),
-            num_heads=int(rng.choice(space.num_heads)),
-        )
+        cfg = _try_replace(base, **{n: int(rng.choice(space.candidates(n))) for n in names})
         if cfg is not None:
             return cfg
 

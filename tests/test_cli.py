@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from simsurrogate.cli import ExperimentManifest, main, resolve_manifest
+from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
 
 TINY = {
     "scenario": "heterogeneous",
@@ -122,6 +123,35 @@ class TestErrorPaths:
         result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
         assert result.exit_code != 0
         assert "not valid JSON" in result.output
+
+
+class TestPoolSize:
+    def test_requested_within_bounds_is_kept(self):
+        assert pool_size(2, n_tasks=40, cpus=2) == 2
+
+    def test_clamped_to_cpus(self):
+        assert pool_size(64, n_tasks=40, cpus=2) == 2
+
+    def test_clamped_to_simulations(self):
+        assert pool_size(8, n_tasks=3, cpus=16) == 3
+
+    def test_unknown_cpu_count_runs_serially(self):
+        assert pool_size(4, n_tasks=40, cpus=None) == 1
+
+    def test_no_simulations_runs_serially(self):
+        assert pool_size(4, n_tasks=0, cpus=4) == 1
+
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_below_one_rejected(self, requested):
+        with pytest.raises(click.UsageError, match="--jobs"):
+            pool_size(requested, n_tasks=40, cpus=2)
+
+    def test_cli_rejects_zero_jobs_before_writing(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["simulate", "--jobs", "0", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "--jobs must be at least 1" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 def test_parallel_simulate_matches_serial(tmp_path):

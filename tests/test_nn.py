@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simsurrogate.errors import ModelConfigError
+from simsurrogate.evaluate import predict_rows
 from simsurrogate.nn.autodiff import Tensor, concat, softmax, stack
 from simsurrogate.nn.models import (
     ModelConfig,
@@ -18,6 +19,8 @@ from simsurrogate.nn.models import (
     sinusoidal_encoding,
     wrap_params,
 )
+from simsurrogate.preprocess import fit_standardizer, make_windows, unwindow_aligned
+from simsurrogate.traceio import SampleTable
 
 
 def numeric_grad(fn, params, name, step=1e-3):
@@ -393,6 +396,54 @@ class TestInferenceForward:
         slow = model_forward(config, wrap_params(params), windows, mask).data
         fast = model_forward_infer(config, params, windows, mask)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden, heads", [(12, 3), (15, 3)])
+    def test_fused_qkv_split_matches_autodiff(self, hidden, heads):
+        """Three heads, with d_head 4 and the odd 5: the fused [h, 3h]
+        projection must split into the same per-head Q, K and V."""
+        config = tiny_config("transformer", hidden_size=hidden, num_heads=heads,
+                             num_layers=2, window_size=6)
+        params = init_params(config)
+        rng = np.random.default_rng(9)
+        windows = rng.normal(size=(4, config.window_size, config.input_dim))
+        mask = np.ones((4, config.window_size), dtype=bool)
+        mask[0, 4:] = False
+        mask[-1, 1:] = False
+        slow = model_forward(config, wrap_params(params), windows, mask).data
+        fast = model_forward_infer(config, params, windows, mask)
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm", "transformer"])
+    def test_predict_rows_chunks_match_one_autodiff_forward(self, arch):
+        """predict_rows runs inference in chunks of windows; over more windows
+        than one chunk, with overlapping windows and a partially masked last
+        window, it must equal one autodiff forward over every window."""
+        config = tiny_config(arch, window_overlap=1, num_layers=1)
+        params = init_params(config)
+        rng = np.random.default_rng(13)
+        lengths = (401, 383, 8)
+        n_rows = sum(lengths)
+        table = SampleTable(
+            "heterogeneous",
+            np.concatenate([np.full(n, sid, dtype=np.int64) for sid, n in enumerate(lengths)]),
+            np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
+            rng.normal(2.0, 3.0, size=(n_rows, config.input_dim)),
+            rng.normal(-1.0, 0.5, size=(n_rows, config.output_dim)),
+            ("f0", "f1", "f2"),
+            ("t0", "t1"),
+        )
+        f_std = fit_standardizer(table.features)
+        t_std = fit_standardizer(table.targets)
+        scaled = SampleTable(table.scenario, table.simulation_ids, table.job_indices,
+                             f_std.transform(table.features), table.targets,
+                             table.feature_names, table.target_names)
+        batch = make_windows(scaled, config.window_size, config.window_overlap)
+        assert len(batch) > 256 and not batch.mask[-1].all()
+        whole = model_forward(config, wrap_params(params), batch.windows, batch.mask).data
+        expected = t_std.inverse_transform(unwindow_aligned(
+            whole, batch.provenance, table.simulation_ids, table.job_indices))
+        got, _ = predict_rows(config, params, table, f_std, t_std)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_feature_dim_mismatch(self):
         config = tiny_config("bigru")

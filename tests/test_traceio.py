@@ -82,3 +82,21 @@ def test_samples_csv_round_trip(tmp_path, sim_data):
     np.testing.assert_array_equal(back.features, table.features)
     np.testing.assert_array_equal(back.targets, table.targets)
     assert back.scenario == table.scenario
+
+
+@pytest.mark.parametrize("first, second", [(3, 4), (-2, -1)])
+def test_samples_csv_swapped_columns_rejected(tmp_path, sim_data, first, second):
+    """Swapping two feature (or two target) columns, header and values alike,
+    must not load as a table with the wrong meaning."""
+    jobs, ds, traces = sim_data
+    write_workload_csv(tmp_path / "w.csv", jobs, ds.sizes())
+    table = join_traces("heterogeneous", read_workload_csv(tmp_path / "w.csv"), traces)
+    write_samples_csv(tmp_path / "samples.csv", table)
+    lines = [line.split(",") for line in
+             (tmp_path / "samples.csv").read_text(encoding="utf-8").splitlines()]
+    for cells in lines:
+        cells[first], cells[second] = cells[second], cells[first]
+    (tmp_path / "swapped.csv").write_text(
+        "\n".join(",".join(cells) for cells in lines) + "\n", encoding="utf-8")
+    with pytest.raises(JoinError, match="header"):
+        read_samples_csv(tmp_path / "swapped.csv")

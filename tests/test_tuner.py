@@ -133,6 +133,15 @@ class TestFailures:
         assert invalid
         assert all(r.config.hidden_size % r.config.num_heads for r in invalid)
 
+    def test_unsatisfiable_space_raises(self):
+        """No hidden_size is divisible by any num_heads: sampling must raise,
+        not retry forever."""
+        def never_called(cfg):
+            raise AssertionError("no config should reach training")
+        space = SearchSpace(hidden_size=(15,), num_heads=(2, 4))
+        with pytest.raises(TrainingError, match="no combination"):
+            tune_hyperparameters(space, base_config("transformer"), never_called, seed=0)
+
     def test_empty_space_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             SearchSpace(hidden_size=())
