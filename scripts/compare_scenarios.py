@@ -14,28 +14,20 @@ Usage:
 import time
 
 import click
-import numpy as np
 
 from simsurrogate.engine import run_simulation
 from simsurrogate.evaluate import evaluate_model, predict_rows
 from simsurrogate.nn.models import ModelConfig
 from simsurrogate.platform import builtin_platform
-from simsurrogate.preprocess import fit_standardizer, make_windows, split_train_eval
-from simsurrogate.traceio import SampleTable, join_traces, feature_names
+from simsurrogate.preprocess import (
+    fit_standardizer,
+    make_windows,
+    split_train_eval,
+    standardize_table,
+)
+from simsurrogate.traceio import SampleTable, feature_names, join_traces, workload_rows
 from simsurrogate.train import TrainConfig, train_model
 from simsurrogate.workload import TRAIN_JOB_COUNTS, generate_workload
-
-
-def workload_rows(jobs, datasets):
-    sizes = datasets.sizes()
-    return [{
-        "simulation_id": j.simulation_id, "job_index": j.job_index,
-        "submission_time_s": j.submission_time_s, "flops": j.flops,
-        "input_files": j.input_files,
-        "input_files_size_bytes": sum(sizes[f] for f in j.input_files),
-        "output_files_size_bytes": j.output_files_size_bytes,
-        "class_id": j.class_id,
-    } for j in jobs]
 
 
 def simulate_table(scenario, platform, n_jobs, sim_id, seed):
@@ -44,27 +36,10 @@ def simulate_table(scenario, platform, n_jobs, sim_id, seed):
     return join_traces(scenario, workload_rows(jobs, datasets), traces)
 
 
-def concat(tables):
-    first = tables[0]
-    return SampleTable(
-        first.scenario,
-        np.concatenate([t.simulation_ids for t in tables]),
-        np.concatenate([t.job_indices for t in tables]),
-        np.concatenate([t.features for t in tables]),
-        np.concatenate([t.targets for t in tables]),
-        first.feature_names, first.target_names)
-
-
-def scaled(table, f_std, t_std):
-    return SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                       f_std.transform(table.features), t_std.transform(table.targets),
-                       table.feature_names, table.target_names)
-
-
 def experiment(scenario, tables, lengths, seed, epochs, hidden, window):
     split = split_train_eval(lengths, 0.7, seed)
-    train_t = concat([tables[i] for i in split.train_ids])
-    eval_t = concat([tables[i] for i in split.eval_ids])
+    train_t = SampleTable.concat([tables[i] for i in split.train_ids])
+    eval_t = SampleTable.concat([tables[i] for i in split.eval_ids])
     f_std = fit_standardizer(train_t.features, names=train_t.feature_names)
     t_std = fit_standardizer(train_t.targets, names=train_t.target_names)
     config = ModelConfig("bigru", input_dim=len(feature_names(scenario)),
@@ -73,8 +48,8 @@ def experiment(scenario, tables, lengths, seed, epochs, hidden, window):
     params, _ = train_model(
         TrainConfig(model=config, learning_rate=1e-3, max_epochs=epochs,
                     patience=epochs, seed=seed),
-        make_windows(scaled(train_t, f_std, t_std), window, 0),
-        make_windows(scaled(eval_t, f_std, t_std), window, 0))
+        make_windows(standardize_table(train_t, f_std, t_std), window, 0),
+        make_windows(standardize_table(eval_t, f_std, t_std), window, 0))
     report = evaluate_model(config, params, eval_t, f_std, t_std, seed=seed)
     return report, config, params, f_std, t_std
 

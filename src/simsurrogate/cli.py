@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .engine import bench_simulation, run_simulation
@@ -36,7 +35,13 @@ from .errors import (
 from .evaluate import evaluate_model, predict_rows, speedup_report, write_report, write_speedup_csv
 from .nn.models import ModelConfig
 from .platform import builtin_platform
-from .preprocess import Standardizer, fit_standardizer, make_windows, split_train_eval
+from .preprocess import (
+    Standardizer,
+    fit_standardizer,
+    make_windows,
+    split_train_eval,
+    standardize_table,
+)
 from .traceio import (
     TARGET_OBSERVABLES,
     SampleTable,
@@ -45,6 +50,7 @@ from .traceio import (
     read_samples_csv,
     read_trace_csv,
     read_workload_csv,
+    workload_rows,
     write_samples_csv,
     write_trace_csv,
     write_workload_csv,
@@ -150,19 +156,6 @@ def _suite(man: ExperimentManifest) -> list[SuiteEntry]:
         suite.append(SuiteEntry(man.extrapolation_jobs, man.extrapolation_simulations,
                                 "extrapolation"))
     return suite
-
-
-def _concat_tables(tables: list[SampleTable]) -> SampleTable:
-    first = tables[0]
-    return SampleTable(
-        scenario=first.scenario,
-        simulation_ids=np.concatenate([t.simulation_ids for t in tables]),
-        job_indices=np.concatenate([t.job_indices for t in tables]),
-        features=np.concatenate([t.features for t in tables]),
-        targets=np.concatenate([t.targets for t in tables]),
-        feature_names=first.feature_names,
-        target_names=first.target_names,
-    )
 
 
 def _simulate_one(args) -> None:
@@ -285,14 +278,14 @@ def preprocess(manifest_path, **flags):
     train_sims = [s for s in sims if s["kind"] == "train"]
     split = split_train_eval({s["simulation_id"]: s["n_jobs"] for s in train_sims},
                              man.train_fraction, man.seed)
-    train_table = _concat_tables([_load_sim_table(man, sid) for sid in split.train_ids])
+    train_table = SampleTable.concat([_load_sim_table(man, sid) for sid in split.train_ids])
     write_samples_csv(outdir / "train_samples.csv", train_table)
     if split.eval_ids:
-        eval_table = _concat_tables([_load_sim_table(man, sid) for sid in split.eval_ids])
+        eval_table = SampleTable.concat([_load_sim_table(man, sid) for sid in split.eval_ids])
         write_samples_csv(outdir / "eval_samples.csv", eval_table)
     extra = [s["simulation_id"] for s in sims if s["kind"] == "extrapolation"]
     if extra:
-        extra_table = _concat_tables([_load_sim_table(man, sid) for sid in extra])
+        extra_table = SampleTable.concat([_load_sim_table(man, sid) for sid in extra])
         write_samples_csv(outdir / "extrapolation_samples.csv", extra_table)
 
     (outdir / "split.json").write_text(split.to_json(), encoding="utf-8")
@@ -313,12 +306,6 @@ def _load_preprocessed(man: ExperimentManifest):
     f_std = Standardizer.from_json((pre / "feature_std.json").read_text(encoding="utf-8"))
     t_std = Standardizer.from_json((pre / "target_std.json").read_text(encoding="utf-8"))
     return train_table, eval_table, f_std, t_std
-
-
-def _scaled(table: SampleTable, f_std: Standardizer, t_std: Standardizer) -> SampleTable:
-    return SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                       f_std.transform(table.features), t_std.transform(table.targets),
-                       table.feature_names, table.target_names)
 
 
 def _model_config(man: ExperimentManifest) -> ModelConfig:
@@ -346,9 +333,9 @@ def train(manifest_path, epochs, num_heads, **flags):
     man = resolve_manifest(manifest_path, max_epochs=epochs, num_heads=num_heads, **flags)
     train_table, eval_table, f_std, t_std = _load_preprocessed(man)
     config = _model_config(man)
-    train_batch = make_windows(_scaled(train_table, f_std, t_std),
+    train_batch = make_windows(standardize_table(train_table, f_std, t_std),
                                config.window_size, config.window_overlap)
-    eval_batch = make_windows(_scaled(eval_table, f_std, t_std),
+    eval_batch = make_windows(standardize_table(eval_table, f_std, t_std),
                               config.window_size, config.window_overlap)
     params, history = train_model(
         TrainConfig(model=config, learning_rate=man.learning_rate,
@@ -378,8 +365,8 @@ def tune(manifest_path, epochs, **flags):
     """Two-stage hyperparameter search; writes an audit log and best config."""
     man = resolve_manifest(manifest_path, tune_max_epochs=epochs, **flags)
     train_table, eval_table, f_std, t_std = _load_preprocessed(man)
-    scaled_train = _scaled(train_table, f_std, t_std)
-    scaled_eval = _scaled(eval_table, f_std, t_std)
+    scaled_train = standardize_table(train_table, f_std, t_std)
+    scaled_eval = standardize_table(eval_table, f_std, t_std)
 
     def train_fn(config: ModelConfig) -> float:
         train_batch = make_windows(scaled_train, config.window_size, config.window_overlap)
@@ -461,7 +448,7 @@ def bench(manifest_path, repeats, **flags):
     for n in sizes:
         jobs, datasets = generate_workload(man.scenario, n, 0, man.seed)
         traces = run_simulation(platform, jobs, datasets)
-        table = join_traces(man.scenario, _workload_rows(jobs, datasets), traces)
+        table = join_traces(man.scenario, workload_rows(jobs, datasets), traces)
         _, seconds = predict_rows(ckpt.config, ckpt.params, table,
                                   ckpt.feature_std, ckpt.target_std)
         sur_rows.append({"scenario": man.scenario, "n_jobs": n, "seconds": seconds})
@@ -472,20 +459,6 @@ def bench(manifest_path, repeats, **flags):
     _write_meta(outdir, "bench", man)
     for r in rows:
         click.echo(f"n_jobs={r['n_jobs']}: {r['speedup']:.1f}x")
-
-
-def _workload_rows(jobs, datasets) -> list[dict]:
-    sizes = datasets.sizes()
-    return [{
-        "simulation_id": j.simulation_id,
-        "job_index": j.job_index,
-        "submission_time_s": j.submission_time_s,
-        "flops": j.flops,
-        "input_files": j.input_files,
-        "input_files_size_bytes": sum(sizes[f] for f in j.input_files),
-        "output_files_size_bytes": j.output_files_size_bytes,
-        "class_id": j.class_id,
-    } for j in jobs]
 
 
 if __name__ == "__main__":

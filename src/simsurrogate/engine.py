@@ -27,7 +27,6 @@ from .workload import DatasetSpec, JobSpec, SuiteEntry, generate_workload
 
 # Event kinds in tie-break order.
 EV_SUBMIT = 0
-EV_RATE_CHANGE = 1  # implicit: rates change at transfer start/finish
 EV_TRANSFER_DONE = 2
 EV_COMPUTE_DONE = 3
 EV_OUTPUT_DONE = 4
@@ -132,8 +131,9 @@ class _Simulation:
         self.worker_ids = [w.id for w in workers]
         self.free_cores = {w.id: w.cores for w in workers}
         self.queue: deque[_JobState] = deque()
-        self.heap: list[tuple[float, int, int, int]] = []
-        self.heap_payload: dict[int, tuple] = {}
+        # (when, kind, job_index, seq, handler, arg); seq is unique, so the
+        # handler and its argument are never compared.
+        self.heap: list[tuple] = []
         self.seq = 0
         self.now = 0.0
         self.link_load: dict[str, int] = {}
@@ -141,10 +141,9 @@ class _Simulation:
         self.traces: dict[int, TraceRecord] = {}
 
     # Event plumbing -------------------------------------------------------
-    def _push(self, when: float, kind: int, job_index: int, payload: tuple) -> None:
+    def _push(self, when: float, kind: int, job_index: int, handler, arg) -> None:
         self.seq += 1
-        self.heap_payload[self.seq] = payload
-        heapq.heappush(self.heap, (when, kind, job_index, self.seq))
+        heapq.heappush(self.heap, (when, kind, job_index, self.seq, handler, arg))
 
     # Transfer plumbing ----------------------------------------------------
     def _route_cap(self, src: str, dst: str) -> float:
@@ -198,13 +197,13 @@ class _Simulation:
         if self.audit:
             got = xfer.audit_bytes
             if abs(got - xfer.size) > 1e-6 * max(1.0, xfer.size):
-                raise AssertionError(
+                raise SimulationError(
                     f"work conservation violated: transferred {got} of {xfer.size} bytes"
                 )
         # Latency is charged once, after the bytes are through.
         kind = EV_OUTPUT_DONE if xfer.on_done == self._output_done else EV_TRANSFER_DONE
         self._push(self.now + xfer.latency, kind, xfer.job.spec.job_index,
-                   ("xfer_latency", xfer))
+                   self._latency_done, xfer)
 
     # Scheduling -----------------------------------------------------------
     def _try_dispatch(self) -> None:
@@ -241,7 +240,14 @@ class _Simulation:
         speed = self.nodes[job.worker].core_speed_flops
         job.compute_time = job.spec.flops / speed
         self._push(self.now + job.compute_time, EV_COMPUTE_DONE,
-                   job.spec.job_index, ("compute_done", job))
+                   job.spec.job_index, self._compute_done, job)
+
+    def _latency_done(self, xfer: _Transfer) -> None:
+        xfer.on_done(xfer.job, xfer.latency)
+
+    def _submit(self, job: _JobState) -> None:
+        self.queue.append(job)
+        self._try_dispatch()
 
     def _compute_done(self, job: _JobState) -> None:
         job.output_started = self.now
@@ -275,7 +281,7 @@ class _Simulation:
     def run(self) -> list[TraceRecord]:
         for job in self.jobs:
             self._push(job.spec.submission_time_s, EV_SUBMIT,
-                       job.spec.job_index, ("submit", job))
+                       job.spec.job_index, self._submit, job)
         while self.heap or self.flows:
             t_fluid = float("inf")
             for flow in self.flows.values():
@@ -287,7 +293,7 @@ class _Simulation:
             t_event = self.heap[0][0] if self.heap else float("inf")
             t = min(t_fluid, t_event)
             if t == float("inf"):
-                raise AssertionError("simulation stalled with pending work")
+                raise SimulationError("simulation stalled with pending work")
             dt = t - self.now
             if dt > 0:
                 for key in list(self.flows):
@@ -311,25 +317,16 @@ class _Simulation:
                         _, _, xfer = heapq.heappop(flow.pending)
                         self._finish_transfer(key, xfer)
             else:
-                when, kind, job_index, seq = heapq.heappop(self.heap)
-                payload = self.heap_payload.pop(seq)
-                tag = payload[0]
-                if tag == "submit":
-                    self.queue.append(payload[1])
-                    self._try_dispatch()
-                elif tag == "xfer_latency":
-                    xfer = payload[1]
-                    xfer.on_done(xfer.job, xfer.latency)
-                else:  # compute_done
-                    self._compute_done(payload[1])
+                *_, handler, arg = heapq.heappop(self.heap)
+                handler(arg)
             if self.audit:
                 for wid in self.worker_ids:
                     free = self.free_cores[wid]
                     if not 0 <= free <= self.nodes[wid].cores:
-                        raise AssertionError(f"core conservation violated on {wid}: {free}")
+                        raise SimulationError(f"core conservation violated on {wid}: {free}")
         missing = [j.spec.job_index for j in self.jobs if j.spec.job_index not in self.traces]
         if missing:
-            raise AssertionError(f"jobs never completed: {missing[:10]}")
+            raise SimulationError(f"jobs never completed: {missing[:10]}")
         return [self.traces[j.spec.job_index] for j in self.jobs]
 
 

@@ -18,7 +18,8 @@ class WorkloadError(SimSurrogateError):
 
 
 class SimulationError(SimSurrogateError):
-    """Simulation cannot proceed (missing file, unroutable transfer)."""
+    """Simulation cannot proceed (missing file, unroutable transfer) or broke
+    one of its own invariants (stall, work or core conservation)."""
 
 
 class JoinError(SimSurrogateError):

@@ -226,14 +226,13 @@ def model_forward(config: ModelConfig, p: dict[str, Tensor], windows: np.ndarray
 
 # Inference-only forward pass ----------------------------------------------
 #
-# Plain-numpy mirror of model_forward with the per-gate and the Q/K/V matmuls
-# fused and the transformer's buffers reused in place, used where no gradients
-# are needed (prediction, benchmarking).  Kept in sync by an equivalence test
-# against the autodiff path.
-
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
+# BiGRU and BiLSTM predict through model_forward itself on tape-free Tensors
+# (requires_grad=False, so no graph is kept): each recurrent cell is written
+# once, in gru_cell and lstm_cell.  Only the transformer has its own in-place
+# numpy path, because model_forward measured 1.6-2x slower for it: the fused
+# QKV matmul, 2-D activations and in-place layer norm, softmax and GELU
+# buffers below have no counterpart on Tensors.  An equivalence test keeps
+# _transformer_infer in step with the autodiff path.
 
 def _np_softmax_(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in x."""
@@ -271,41 +270,6 @@ def _np_gelu_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _infer_direction(x: np.ndarray, p: dict[str, np.ndarray], prefix: str,
-                     hidden: int, kind: str, reverse: bool) -> np.ndarray:
-    batch, seq_len = x.shape[0], x.shape[1]
-    gates = ("z", "r", "h") if kind == "bigru" else ("i", "f", "o", "g")
-    wx = np.concatenate([p[f"{prefix}.W{g}"] for g in gates], axis=1)
-    bx = np.concatenate([p[f"{prefix}.b{g}"] for g in gates])
-    x_proj = x @ wx + bx  # [batch, T, n_gates*hidden], one fused matmul
-    out = np.empty((batch, seq_len, hidden))
-    h = np.zeros((batch, hidden))
-    order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
-    if kind == "bigru":
-        uzr = np.concatenate([p[f"{prefix}.Uz"], p[f"{prefix}.Ur"]], axis=1)
-        uh = p[f"{prefix}.Uh"]
-        for t in order:
-            hu = h @ uzr
-            z = _np_sigmoid(x_proj[:, t, :hidden] + hu[:, :hidden])
-            r = _np_sigmoid(x_proj[:, t, hidden:2 * hidden] + hu[:, hidden:])
-            cand = np.tanh(x_proj[:, t, 2 * hidden:] + (r * h) @ uh)
-            h = (1.0 - z) * h + z * cand
-            out[:, t] = h
-    else:
-        u = np.concatenate([p[f"{prefix}.U{g}"] for g in gates], axis=1)
-        c = np.zeros((batch, hidden))
-        for t in order:
-            acts = x_proj[:, t] + h @ u
-            i = _np_sigmoid(acts[:, :hidden])
-            f = _np_sigmoid(acts[:, hidden:2 * hidden])
-            o = _np_sigmoid(acts[:, 2 * hidden:3 * hidden])
-            g = np.tanh(acts[:, 3 * hidden:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out[:, t] = h
-    return out
-
-
 def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
                         windows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Gradient-free forward pass; same outputs as model_forward."""
@@ -316,15 +280,7 @@ def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
         )
     if config.architecture == "transformer":
         return _transformer_infer(config, params, x, mask)
-    h = x @ params["embed.W"] + params["embed.b"]
-    hid = config.hidden_size
-    for layer in range(config.num_layers):
-        fwd = _infer_direction(h, params, f"rnn{layer}.fwd", hid,
-                               config.architecture, reverse=False)
-        bwd = _infer_direction(h, params, f"rnn{layer}.bwd", hid,
-                               config.architecture, reverse=True)
-        h = np.concatenate([fwd, bwd], axis=-1)
-    return h @ params["out.W"] + params["out.b"]
+    return model_forward(config, {k: Tensor(v) for k, v in params.items()}, x, mask).data
 
 
 def _transformer_infer(config: ModelConfig, params: dict[str, np.ndarray],

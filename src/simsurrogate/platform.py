@@ -49,18 +49,6 @@ class PlatformSpec:
     # (src node id, dst node id) -> ordered link ids
     routes: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
 
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def link(self, link_id: str) -> LinkSpec:
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise KeyError(link_id)
-
     def workers(self) -> list[NodeSpec]:
         return [n for n in self.nodes if n.role == WORKER]
 

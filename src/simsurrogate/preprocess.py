@@ -67,6 +67,15 @@ def fit_standardizer(rows: np.ndarray, names: tuple[str, ...] = ()) -> Standardi
     return Standardizer(rows.mean(axis=0), rows.std(axis=0), names)
 
 
+def standardize_table(table: SampleTable, feature_std: Standardizer,
+                      target_std: Standardizer) -> SampleTable:
+    """The table with features and targets z-scored by their standardizers."""
+    return SampleTable(table.scenario, table.simulation_ids, table.job_indices,
+                       feature_std.transform(table.features),
+                       target_std.transform(table.targets),
+                       table.feature_names, table.target_names)
+
+
 @dataclass
 class WindowBatch:
     """Fixed-size zero-padded windows with masks and row provenance."""

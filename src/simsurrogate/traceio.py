@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import TRACE_FIELDS, TraceRecord
 from .errors import JoinError
-from .workload import JobSpec
+from .workload import DatasetSpec, JobSpec
 
 WORKLOAD_FIELDS = (
     "simulation_id",
@@ -85,6 +85,22 @@ def read_workload_csv(path: str | Path) -> list[dict]:
     return rows
 
 
+def workload_rows(jobs: list[JobSpec], datasets: DatasetSpec) -> list[dict]:
+    """Rows in read_workload_csv's layout, straight from generated jobs
+    (input sizes are exact sums, not rounded to whole bytes)."""
+    sizes = datasets.sizes()
+    return [{
+        "simulation_id": j.simulation_id,
+        "job_index": j.job_index,
+        "submission_time_s": j.submission_time_s,
+        "flops": j.flops,
+        "input_files": j.input_files,
+        "input_files_size_bytes": sum(sizes[f] for f in j.input_files),
+        "output_files_size_bytes": j.output_files_size_bytes,
+        "class_id": j.class_id,
+    } for j in jobs]
+
+
 def write_trace_csv(path: str | Path, traces: list[TraceRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -147,6 +163,20 @@ class SampleTable:
         bounds = np.append(starts, len(order))
         return {int(sid): order[a:b]
                 for sid, a, b in zip(uniq, bounds[:-1], bounds[1:])}
+
+    @classmethod
+    def concat(cls, tables: list["SampleTable"]) -> "SampleTable":
+        """Rows of every table in order; names come from the first."""
+        first = tables[0]
+        return cls(
+            scenario=first.scenario,
+            simulation_ids=np.concatenate([t.simulation_ids for t in tables]),
+            job_indices=np.concatenate([t.job_indices for t in tables]),
+            features=np.concatenate([t.features for t in tables]),
+            targets=np.concatenate([t.targets for t in tables]),
+            feature_names=first.feature_names,
+            target_names=first.target_names,
+        )
 
     def subset(self, row_mask: np.ndarray) -> "SampleTable":
         return SampleTable(

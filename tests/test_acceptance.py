@@ -31,9 +31,10 @@ from simsurrogate.preprocess import (
     fit_standardizer,
     make_windows,
     split_train_eval,
+    standardize_table,
     unwindow,
 )
-from simsurrogate.traceio import SampleTable, join_traces
+from simsurrogate.traceio import SampleTable, join_traces, workload_rows
 from simsurrogate.train import TrainConfig, train_model
 from simsurrogate.tuner import COORDINATE_ORDER, SearchSpace, tune_hyperparameters
 from simsurrogate.workload import (
@@ -70,48 +71,17 @@ def job(idx, flops=1e9, files=(), out=0.0):
                    output_files_size_bytes=out, class_id=0)
 
 
-def workload_rows(jobs, datasets):
-    sizes = datasets.sizes()
-    return [{
-        "simulation_id": j.simulation_id, "job_index": j.job_index,
-        "submission_time_s": j.submission_time_s, "flops": j.flops,
-        "input_files": j.input_files,
-        "input_files_size_bytes": sum(sizes[f] for f in j.input_files),
-        "output_files_size_bytes": j.output_files_size_bytes,
-        "class_id": j.class_id,
-    } for j in jobs]
-
-
-def concat_tables(tables):
-    first = tables[0]
-    return SampleTable(
-        scenario=first.scenario,
-        simulation_ids=np.concatenate([t.simulation_ids for t in tables]),
-        job_indices=np.concatenate([t.job_indices for t in tables]),
-        features=np.concatenate([t.features for t in tables]),
-        targets=np.concatenate([t.targets for t in tables]),
-        feature_names=first.feature_names,
-        target_names=first.target_names,
-    )
-
-
-def scaled(table, f_std, t_std):
-    return SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                       f_std.transform(table.features), t_std.transform(table.targets),
-                       table.feature_names, table.target_names)
-
-
 def run_experiment(tables, lengths, seed, input_dim, epochs):
     """70:30 split, standardize, train a BiGRU, score the eval simulations."""
     split = split_train_eval(lengths, 0.7, seed)
-    train_t = concat_tables([tables[i] for i in split.train_ids])
-    eval_t = concat_tables([tables[i] for i in split.eval_ids])
+    train_t = SampleTable.concat([tables[i] for i in split.train_ids])
+    eval_t = SampleTable.concat([tables[i] for i in split.eval_ids])
     f_std = fit_standardizer(train_t.features, names=train_t.feature_names)
     t_std = fit_standardizer(train_t.targets, names=train_t.target_names)
     config = ModelConfig("bigru", input_dim=input_dim, output_dim=5, hidden_size=24,
                          window_size=16, window_overlap=0, batch_size=32, seed=seed)
-    train_batch = make_windows(scaled(train_t, f_std, t_std), 16, 0)
-    eval_batch = make_windows(scaled(eval_t, f_std, t_std), 16, 0)
+    train_batch = make_windows(standardize_table(train_t, f_std, t_std), 16, 0)
+    eval_batch = make_windows(standardize_table(eval_t, f_std, t_std), 16, 0)
     params, _ = train_model(
         TrainConfig(model=config, learning_rate=1e-3, max_epochs=epochs,
                     patience=epochs, seed=seed),

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from simsurrogate.engine import bench_simulation, run_simulation
+from simsurrogate.engine import _Simulation, bench_simulation, run_simulation
 from simsurrogate.errors import SimulationError
 from simsurrogate.platform import (
     LinkSpec,
@@ -150,6 +150,19 @@ def test_unroutable_transfer_error():
     broken = PlatformSpec(platform.nodes, platform.links, routes)
     with pytest.raises(SimulationError, match="no route between nodes 's0' and 'w0'"):
         run_simulation(broken, [job(0, files=["f0"])], dataset(("f0", 1e8)))
+
+
+def test_stalled_transfer_raises_simulation_error(monkeypatch):
+    """A transfer that never progresses and no event left to wait for is a
+    stall: a typed error, not a silent hang or a bare assertion."""
+    def zero_rates(self):
+        for flow in self.flows.values():
+            flow.rate = 0.0
+
+    monkeypatch.setattr(_Simulation, "_recompute_rates", zero_rates)
+    with pytest.raises(SimulationError, match="stalled"):
+        run_simulation(single_worker_platform(), [job(0, files=["f0"])],
+                       dataset(("f0", 1e8)))
 
 
 def test_bench_rows_schema():
