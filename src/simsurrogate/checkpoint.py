@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TrainingError
-from .nn.models import ModelConfig
+from .nn.models import ModelConfig, init_params
 from .preprocess import Standardizer
 
 CHECKPOINT_VERSION = 1
@@ -47,7 +47,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if header.get("version") != CHECKPOINT_VERSION:
             raise TrainingError(f"unsupported checkpoint version {header.get('version')}")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
-    return Checkpoint(
+    ckpt = Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         params=params,
         feature_std=Standardizer.from_json(json.dumps(header["feature_std"])),
@@ -55,3 +55,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         scenario=header["scenario"],
         seed=header["seed"],
     )
+    _validate(ckpt)
+    return ckpt
+
+
+def _validate(ckpt: Checkpoint) -> None:
+    """Parameter names and shapes as init_params(config) makes them, and
+    standardizers as wide as the model's input and output."""
+    expected = init_params(ckpt.config)
+    if set(expected) != set(ckpt.params):
+        raise TrainingError(
+            f"checkpoint parameters do not match the config: missing "
+            f"{sorted(set(expected) - set(ckpt.params))}, "
+            f"unexpected {sorted(set(ckpt.params) - set(expected))}")
+    for name, init in expected.items():
+        if ckpt.params[name].shape != init.shape:
+            raise TrainingError(f"checkpoint parameter {name} has shape "
+                                f"{ckpt.params[name].shape}, config needs {init.shape}")
+    for what, std, dim in (("feature", ckpt.feature_std, ckpt.config.input_dim),
+                           ("target", ckpt.target_std, ckpt.config.output_dim)):
+        if std.mean.shape != (dim,) or std.std.shape != (dim,):
+            raise TrainingError(f"{what} standardizer shapes {std.mean.shape} and "
+                                f"{std.std.shape}, config needs ({dim},)")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import EvalError
 from .nn.models import ModelConfig, model_forward_infer
-from .preprocess import Standardizer, make_windows, unwindow_aligned
+from .preprocess import Standardizer, make_windows, standardize_table, unwindow_aligned
 from .traceio import SampleTable
 
 KDE_BANDWIDTH_FLOOR = 1e-9
@@ -84,15 +84,7 @@ def predict_rows(config: ModelConfig, params: dict[str, np.ndarray],
                  target_std: Standardizer) -> tuple[np.ndarray, float]:
     """Original-scale predictions aligned with table rows, plus wall-clock."""
     t0 = time.perf_counter()
-    scaled = SampleTable(
-        scenario=table.scenario,
-        simulation_ids=table.simulation_ids,
-        job_indices=table.job_indices,
-        features=feature_std.transform(table.features),
-        targets=np.zeros_like(table.targets),
-        feature_names=table.feature_names,
-        target_names=table.target_names,
-    )
+    scaled = standardize_table(table, feature_std, target_std)
     batch = make_windows(scaled, config.window_size, config.window_overlap)
     preds = np.empty((len(batch), config.window_size, config.output_dim))
     # outputs are per-window, so inference may batch wider than training did

@@ -4,6 +4,10 @@ Just enough operations for recurrent cells, attention, and layer norm.  Every
 op records its parents and a gradient closure; `backward` walks the tape in
 reverse topological order.  Broadcasting is supported; gradients are summed
 back to the parent's shape.
+
+The module-level ops (tanh, sigmoid, masked_fill, concat, stack, softmax)
+take a Tensor or a plain ndarray, so model code written with them runs
+either on the tape or as plain numpy with no Tensor built.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("data", "grad", "parents", "grad_fns", "requires_grad")
+    # numpy operators return NotImplemented, so `ndarray + Tensor` and
+    # `ndarray @ Tensor` reach the reflected methods below and stay on the tape.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False, parents=(), grad_fns=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -103,6 +110,9 @@ class Tensor:
 
     __matmul__ = matmul
 
+    def __rmatmul__(self, other):
+        return self._coerce(other).matmul(self)
+
     def __getitem__(self, idx):
         def grad(g):
             out = np.zeros_like(self.data)
@@ -143,7 +153,7 @@ class Tensor:
         return Tensor(out, parents=(self,), grad_fns=(lambda g: g * (1 - out**2),))
 
     def sigmoid(self):
-        out = 1.0 / (1.0 + np.exp(-self.data))
+        out = sigmoid(self.data)
         return Tensor(out, parents=(self,), grad_fns=(lambda g: g * out * (1 - out),))
 
     def exp(self):
@@ -192,7 +202,25 @@ class Tensor:
                     parent.grad = parent.grad + g
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else 1.0 / (1.0 + np.exp(-x))
+
+
+def masked_fill(x, mask: np.ndarray, value: float):
+    """Where mask is True keep the value; where False substitute `value`."""
+    if isinstance(x, Tensor):
+        return x.masked_fill(mask, value)
+    return np.where(mask, x, value)
+
+
+def concat(items: list, axis: int = -1):
+    if not any(isinstance(t, Tensor) for t in items):
+        return np.concatenate(items, axis=axis)
+    tensors = [Tensor._coerce(t) for t in items]
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
@@ -210,7 +238,10 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                   grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
+def stack(items: list, axis: int = 0):
+    if not any(isinstance(t, Tensor) for t in items):
+        return np.stack(items, axis=axis)
+    tensors = [Tensor._coerce(t) for t in items]
     out = np.stack([t.data for t in tensors], axis=axis)
 
     def make_grad(i):
@@ -223,8 +254,13 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
                   grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x, axis: int = -1):
+    """Softmax along `axis`.  An ndarray is overwritten with the result."""
+    if not isinstance(x, Tensor):
+        x -= x.max(axis=axis, keepdims=True)
+        np.exp(x, out=x)
+        x /= x.sum(axis=axis, keepdims=True)
+        return x
     # Subtracting the (detached) max is gradient-neutral and stabilizes exp.
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
+    e = (x - x.data.max(axis=axis, keepdims=True)).exp()
     return e / e.sum(axis=axis, keepdims=True)

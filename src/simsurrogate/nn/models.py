@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ..errors import ModelConfigError
-from .autodiff import Tensor, concat, softmax, stack
+from .autodiff import Tensor, concat, masked_fill, sigmoid, softmax, stack, tanh
 
 ARCHITECTURES = ("bigru", "bilstm", "transformer")
 
@@ -100,38 +100,48 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
-def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+# One forward, two array types ---------------------------------------------
+#
+# Each layer below is written once.  Given Tensor params, model_forward builds
+# the autodiff tape that training backpropagates; given the plain ndarray
+# params, the same code runs as numpy and builds no Tensor (prediction and
+# eval loss).  Only the leaf kernels choose their code by the array's type:
+# on ndarrays, layer_norm, _gelu and softmax run in-place numpy bodies, which
+# only ever write buffers that nothing else reads.  `+=` likewise adds in
+# place on an ndarray, while on a Tensor (which has no __iadd__) `h += y`
+# rebinds h to a new tape node.
+
+def linear_forward(x, w, b):
     if x.shape[-1] != w.shape[0]:
         raise ModelConfigError(f"linear shape mismatch: {x.shape} @ {w.shape}")
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
-def gru_cell(x_t: Tensor, h_prev: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    z = (x_t @ p[f"{prefix}.Wz"] + h_prev @ p[f"{prefix}.Uz"] + p[f"{prefix}.bz"]).sigmoid()
-    r = (x_t @ p[f"{prefix}.Wr"] + h_prev @ p[f"{prefix}.Ur"] + p[f"{prefix}.br"]).sigmoid()
-    cand = (x_t @ p[f"{prefix}.Wh"] + (r * h_prev) @ p[f"{prefix}.Uh"] + p[f"{prefix}.bh"]).tanh()
+def gru_cell(x_t, h_prev, p: dict, prefix: str):
+    z = sigmoid(x_t @ p[f"{prefix}.Wz"] + h_prev @ p[f"{prefix}.Uz"] + p[f"{prefix}.bz"])
+    r = sigmoid(x_t @ p[f"{prefix}.Wr"] + h_prev @ p[f"{prefix}.Ur"] + p[f"{prefix}.br"])
+    cand = tanh(x_t @ p[f"{prefix}.Wh"] + (r * h_prev) @ p[f"{prefix}.Uh"] + p[f"{prefix}.bh"])
     return (1.0 - z) * h_prev + z * cand
 
 
-def lstm_cell(x_t: Tensor, state: tuple[Tensor, Tensor], p: dict[str, Tensor],
-              prefix: str) -> tuple[Tensor, Tensor]:
+def lstm_cell(x_t, state: tuple, p: dict, prefix: str) -> tuple:
     h_prev, c_prev = state
-    i = (x_t @ p[f"{prefix}.Wi"] + h_prev @ p[f"{prefix}.Ui"] + p[f"{prefix}.bi"]).sigmoid()
-    f = (x_t @ p[f"{prefix}.Wf"] + h_prev @ p[f"{prefix}.Uf"] + p[f"{prefix}.bf"]).sigmoid()
-    o = (x_t @ p[f"{prefix}.Wo"] + h_prev @ p[f"{prefix}.Uo"] + p[f"{prefix}.bo"]).sigmoid()
-    g = (x_t @ p[f"{prefix}.Wg"] + h_prev @ p[f"{prefix}.Ug"] + p[f"{prefix}.bg"]).tanh()
+    i = sigmoid(x_t @ p[f"{prefix}.Wi"] + h_prev @ p[f"{prefix}.Ui"] + p[f"{prefix}.bi"])
+    f = sigmoid(x_t @ p[f"{prefix}.Wf"] + h_prev @ p[f"{prefix}.Uf"] + p[f"{prefix}.bf"])
+    o = sigmoid(x_t @ p[f"{prefix}.Wo"] + h_prev @ p[f"{prefix}.Uo"] + p[f"{prefix}.bo"])
+    g = tanh(x_t @ p[f"{prefix}.Wg"] + h_prev @ p[f"{prefix}.Ug"] + p[f"{prefix}.bg"])
     c_t = f * c_prev + i * g
-    h_t = o * c_t.tanh()
+    h_t = o * tanh(c_t)
     return h_t, c_t
 
 
-def _run_direction(x: Tensor, p: dict[str, Tensor], prefix: str, hidden: int,
-                   kind: str, reverse: bool) -> list[Tensor]:
+def _run_direction(x, p: dict, prefix: str, hidden: int, kind: str, reverse: bool) -> list:
     batch, seq_len = x.shape[0], x.shape[1]
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
+    h = c = np.zeros((batch, hidden))
     order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
-    outputs: list[Tensor | None] = [None] * seq_len
+    outputs: list = [None] * seq_len
     for t in order:
         x_t = x[:, t, :]
         if kind == "bigru":
@@ -139,11 +149,10 @@ def _run_direction(x: Tensor, p: dict[str, Tensor], prefix: str, hidden: int,
         else:
             h, c = lstm_cell(x_t, (h, c), p, prefix)
         outputs[t] = h
-    return outputs  # type: ignore[return-value]
+    return outputs
 
 
-def bidirectional_forward(x: Tensor, p: dict[str, Tensor], layer_prefix: str,
-                          hidden: int, kind: str) -> Tensor:
+def bidirectional_forward(x, p: dict, layer_prefix: str, hidden: int, kind: str):
     """[batch, T, in] -> [batch, T, 2*hidden], fwd/bwd halves concatenated."""
     if x.shape[1] < 1:
         raise ModelConfigError("empty sequence")
@@ -153,98 +162,13 @@ def bidirectional_forward(x: Tensor, p: dict[str, Tensor], layer_prefix: str,
     return stack(per_step, axis=1)
 
 
-def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * g + b
-
-
-def _gelu(x: Tensor) -> Tensor:
-    # tanh approximation; smooth, so finite-difference checks stay tight
-    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + inner.tanh())
-
-
-def multi_head_attention(x: Tensor, p: dict[str, Tensor], prefix: str,
-                         num_heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Bidirectional scaled dot-product attention; padded keys get zero weight."""
-    batch, seq_len, d = x.shape
-    if d % num_heads != 0:
-        raise ModelConfigError(f"model dim {d} not divisible by {num_heads} heads")
-    d_head = d // num_heads
-
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(batch, seq_len, num_heads, d_head).transpose((0, 2, 1, 3))
-
-    q = split_heads(x @ p[f"{prefix}.Wq"] + p[f"{prefix}.bq"])
-    k = split_heads(x @ p[f"{prefix}.Wk"] + p[f"{prefix}.bk"])
-    v = split_heads(x @ p[f"{prefix}.Wv"] + p[f"{prefix}.bv"])
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(d_head))
-    if mask is not None:
-        key_mask = np.asarray(mask, dtype=bool)[:, None, None, :]
-        scores = scores.masked_fill(key_mask, -1e30)
-    weights = softmax(scores, axis=-1)
-    mixed = weights @ v  # [batch, heads, T, d_head]
-    merged = mixed.transpose((0, 2, 1, 3)).reshape(batch, seq_len, d)
-    return merged @ p[f"{prefix}.Wo"] + p[f"{prefix}.bo"]
-
-
-def sinusoidal_encoding(seq_len: int, dim: int) -> np.ndarray:
-    pos = np.arange(seq_len)[:, None]
-    i = np.arange(dim)[None, :]
-    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc
-
-
-def model_forward(config: ModelConfig, p: dict[str, Tensor], windows: np.ndarray,
-                  mask: np.ndarray | None = None) -> Tensor:
-    """Predictions [n_windows, window_size, output_dim] for a window batch."""
-    x = Tensor(windows)
-    if x.shape[-1] != config.input_dim:
-        raise ModelConfigError(
-            f"window feature dim {x.shape[-1]} != config.input_dim {config.input_dim}"
-        )
-    h = linear_forward(x, p["embed.W"], p["embed.b"])
-    if config.architecture in ("bigru", "bilstm"):
-        for layer in range(config.num_layers):
-            h = bidirectional_forward(h, p, f"rnn{layer}", config.hidden_size,
-                                      config.architecture)
-    else:
-        h = h + Tensor(sinusoidal_encoding(x.shape[1], config.hidden_size))
-        for layer in range(config.num_layers):
-            prefix = f"enc{layer}"
-            normed = layer_norm(h, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-            h = h + multi_head_attention(normed, p, prefix, config.num_heads, mask)
-            normed = layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-            ff = _gelu(normed @ p[f"{prefix}.ff.W1"] + p[f"{prefix}.ff.b1"])
-            h = h + (ff @ p[f"{prefix}.ff.W2"] + p[f"{prefix}.ff.b2"])
-        h = layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-    return linear_forward(h, p["out.W"], p["out.b"])
-
-
-# Inference-only forward pass ----------------------------------------------
-#
-# BiGRU and BiLSTM predict through model_forward itself on tape-free Tensors
-# (requires_grad=False, so no graph is kept): each recurrent cell is written
-# once, in gru_cell and lstm_cell.  Only the transformer has its own in-place
-# numpy path, because model_forward measured 1.6-2x slower for it: the fused
-# QKV matmul, 2-D activations and in-place layer norm, softmax and GELU
-# buffers below have no counterpart on Tensors.  An equivalence test keeps
-# _transformer_infer in step with the autodiff path.
-
-def _np_softmax_(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in x."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
-
-
-def _np_layer_norm(x, g, b, eps=1e-6):
-    """Layer norm over the last axis into a new buffer; x is left as it is."""
-    out = x - x.mean(axis=-1, keepdims=True)
+def layer_norm(x, g, b, eps: float = 1e-6):
+    if isinstance(x, Tensor):
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return centered / (var + eps).sqrt() * g + b
+    out = x - x.mean(axis=-1, keepdims=True)  # a new buffer; x is left as it is
     var = (out * out).mean(axis=-1, keepdims=True)
     var += eps
     out /= np.sqrt(var, out=var)
@@ -253,11 +177,14 @@ def _np_layer_norm(x, g, b, eps=1e-6):
     return out
 
 
-def _np_gelu_(x: np.ndarray) -> np.ndarray:
-    """The tanh-approximate GELU of _gelu, computed in place in x.
+def _gelu(x):
+    """tanh-approximate GELU; smooth, so finite-difference checks stay tight.
 
-    The cube is x * x * x: numpy sends x**3 through pow, which costs several
-    times the rest of the function."""
+    An ndarray is overwritten with the result.  The cube is x * x * x:
+    numpy sends x**3 through pow, which costs several times the rest."""
+    if isinstance(x, Tensor):
+        inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
+        return 0.5 * x * (1.0 + tanh(inner))
     inner = x * x
     inner *= x
     inner *= 0.044715
@@ -270,59 +197,80 @@ def _np_gelu_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
-                        windows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Gradient-free forward pass; same outputs as model_forward."""
-    x = np.asarray(windows, dtype=float)
+def multi_head_attention(x, p: dict, prefix: str, num_heads: int,
+                         mask: np.ndarray | None = None):
+    """Bidirectional scaled dot-product attention; padded keys get zero weight.
+
+    x is [batch, T, d].  Q, K and V come from one fused [d, 3d] matmul over
+    [batch*T, d], with the 1/sqrt(d_head) score scale folded into the Q columns."""
+    batch, seq_len, d = x.shape
+    if d % num_heads != 0:
+        raise ModelConfigError(f"model dim {d} not divisible by {num_heads} heads")
+    d_head = d // num_heads
+    scale = 1.0 / math.sqrt(d_head)
+    w_qkv = concat([p[f"{prefix}.Wq"] * scale, p[f"{prefix}.Wk"], p[f"{prefix}.Wv"]], axis=1)
+    b_qkv = concat([p[f"{prefix}.bq"] * scale, p[f"{prefix}.bk"], p[f"{prefix}.bv"]], axis=0)
+    qkv = linear_forward(x.reshape(batch * seq_len, d), w_qkv, b_qkv)
+    # [batch, T, 3, heads, d_head] -> Q, K and V as [batch, heads, T, d_head]
+    qkv = qkv.reshape(batch, seq_len, 3, num_heads, d_head).transpose((2, 0, 3, 1, 4))
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = q @ k.transpose((0, 1, 3, 2))
+    if mask is not None:
+        scores = masked_fill(scores, np.asarray(mask, dtype=bool)[:, None, None, :], -1e30)
+    mixed = softmax(scores, axis=-1) @ v  # [batch, heads, T, d_head]
+    merged = mixed.transpose((0, 2, 1, 3)).reshape(batch * seq_len, d)
+    return linear_forward(merged, p[f"{prefix}.Wo"], p[f"{prefix}.bo"]).reshape(batch, seq_len, d)
+
+
+def sinusoidal_encoding(seq_len: int, dim: int) -> np.ndarray:
+    pos = np.arange(seq_len)[:, None]
+    i = np.arange(dim)[None, :]
+    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+def _encoder_forward(config: ModelConfig, p: dict, x: np.ndarray, mask: np.ndarray | None):
+    """The transformer's embedding and encoder blocks: [batch*T, hidden].
+
+    Activations stay 2-D, so every projection is one matmul; only the
+    attention scores are 4-D."""
+    batch, seq_len = x.shape[0], x.shape[1]
+    hid = config.hidden_size
+    h = linear_forward(x.reshape(batch * seq_len, config.input_dim), p["embed.W"], p["embed.b"])
+    h += np.tile(sinusoidal_encoding(seq_len, hid), (batch, 1))
+    if mask is not None and np.all(mask):
+        mask = None  # every key is real: nothing to hide
+    for layer in range(config.num_layers):
+        pre = f"enc{layer}"
+        normed = layer_norm(h, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+        attn = multi_head_attention(normed.reshape(batch, seq_len, hid), p, pre,
+                                    config.num_heads, mask)
+        h += attn.reshape(batch * seq_len, hid)
+        normed = layer_norm(h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+        ff = _gelu(linear_forward(normed, p[f"{pre}.ff.W1"], p[f"{pre}.ff.b1"]))
+        h += linear_forward(ff, p[f"{pre}.ff.W2"], p[f"{pre}.ff.b2"])
+    return layer_norm(h, p["final_ln.g"], p["final_ln.b"])
+
+
+def model_forward(config: ModelConfig, p: dict, windows: np.ndarray,
+                  mask: np.ndarray | None = None):
+    """Predictions [n_windows, window_size, output_dim] for a window batch:
+    a Tensor on the tape for Tensor params, an ndarray for ndarray params."""
+    x = np.asarray(windows, dtype=np.float64)
     if x.shape[-1] != config.input_dim:
         raise ModelConfigError(
             f"window feature dim {x.shape[-1]} != config.input_dim {config.input_dim}"
         )
     if config.architecture == "transformer":
-        return _transformer_infer(config, params, x, mask)
-    return model_forward(config, {k: Tensor(v) for k, v in params.items()}, x, mask).data
-
-
-def _transformer_infer(config: ModelConfig, params: dict[str, np.ndarray],
-                       x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """The transformer branch of model_forward_infer.
-
-    Activations stay a 2-D [batch*T, hidden] array; only the attention scores
-    are 4-D.  Q, K and V come from one fused [hidden, 3*hidden] matmul, with
-    the 1/sqrt(d_head) score scale folded into the Q columns."""
-    batch, seq_len = x.shape[0], x.shape[1]
-    hid, n_heads = config.hidden_size, config.num_heads
-    d_head = hid // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-    h = x.reshape(batch * seq_len, config.input_dim) @ params["embed.W"]
-    h += params["embed.b"]
-    h3 = h.reshape(batch, seq_len, hid)  # a view: adds into h
-    h3 += sinusoidal_encoding(seq_len, hid)
-    pad = None
-    if mask is not None and not np.all(mask):
-        pad = ~np.asarray(mask, dtype=bool)[:, None, None, :]
+        out = linear_forward(_encoder_forward(config, p, x, mask), p["out.W"], p["out.b"])
+        return out.reshape(x.shape[0], x.shape[1], config.output_dim)
+    h = linear_forward(x, p["embed.W"], p["embed.b"])
     for layer in range(config.num_layers):
-        pre = f"enc{layer}"
-        w_qkv = np.concatenate([params[f"{pre}.Wq"] * scale, params[f"{pre}.Wk"],
-                                params[f"{pre}.Wv"]], axis=1)
-        b_qkv = np.concatenate([params[f"{pre}.bq"] * scale, params[f"{pre}.bk"],
-                                params[f"{pre}.bv"]])
-        qkv = _np_layer_norm(h, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"]) @ w_qkv
-        qkv += b_qkv
-        # [batch, T, 3, heads, d_head] -> three [batch, heads, T, d_head] views
-        q, k, v = qkv.reshape(batch, seq_len, 3, n_heads, d_head).transpose(2, 0, 3, 1, 4)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        if pad is not None:
-            np.copyto(scores, -1e30, where=pad)
-        mixed = _np_softmax_(scores) @ v  # [batch, heads, T, d_head]
-        h += mixed.transpose(0, 2, 1, 3).reshape(batch * seq_len, hid) @ params[f"{pre}.Wo"]
-        h += params[f"{pre}.bo"]
-        normed = _np_layer_norm(h, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        ff = normed @ params[f"{pre}.ff.W1"]
-        ff += params[f"{pre}.ff.b1"]
-        h += _np_gelu_(ff) @ params[f"{pre}.ff.W2"]
-        h += params[f"{pre}.ff.b2"]
-    h = _np_layer_norm(h, params["final_ln.g"], params["final_ln.b"])
-    out = h @ params["out.W"]
-    out += params["out.b"]
-    return out.reshape(batch, seq_len, config.output_dim)
+        h = bidirectional_forward(h, p, f"rnn{layer}", config.hidden_size, config.architecture)
+    return linear_forward(h, p["out.W"], p["out.b"])
+
+
+def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
+                        windows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Gradient-free forward pass: model_forward on the plain parameter arrays."""
+    return model_forward(config, params, windows, mask)

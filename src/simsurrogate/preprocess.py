@@ -151,13 +151,20 @@ def unwindow(values: np.ndarray, provenance: np.ndarray) -> dict[tuple[int, int]
     }
 
 
+def _pack_keys(simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
+    """sid << 32 | job_index keys; both must lie in [0, 2**31) to stay distinct."""
+    for name, values in (("simulation_id", simulation_ids), ("job_index", job_indices)):
+        if values.size and (values.min() < 0 or values.max() >= 2**31):
+            raise PreprocessError(f"{name} outside [0, 2**31): cannot key rows by it")
+    return (simulation_ids.astype(np.int64) << np.int64(32)) | job_indices
+
+
 def _first_assignments(provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed (sid << 32 | job_index) keys and the flat index of each key's
-    earliest (window-major) occurrence."""
+    """Packed row keys and the flat index of each key's earliest
+    (window-major) occurrence."""
     prov = provenance.reshape(-1, 2)
     valid = np.nonzero(prov[:, 1] != PAD)[0]
-    packed = (prov[valid, 0] << np.int64(32)) | prov[valid, 1]
-    keys, first = np.unique(packed, return_index=True)
+    keys, first = np.unique(_pack_keys(prov[valid, 0], prov[valid, 1]), return_index=True)
     return keys, valid[first]
 
 
@@ -166,7 +173,7 @@ def unwindow_aligned(values: np.ndarray, provenance: np.ndarray,
     """Per-row values aligned with (simulation_ids, job_indices); earliest
     window wins, as in unwindow."""
     keys, flat_ix = _first_assignments(provenance)
-    wanted = (simulation_ids.astype(np.int64) << np.int64(32)) | job_indices
+    wanted = _pack_keys(simulation_ids, job_indices)
     pos = np.searchsorted(keys, wanted)
     if pos.size and (pos.max(initial=0) >= len(keys) or (keys[np.minimum(pos, len(keys) - 1)] != wanted).any()):
         raise PreprocessError("windows do not cover every requested row")

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TRACE_FIELDS, TraceRecord
-from .errors import JoinError
+from .errors import JoinError, WorkloadError
+from .platform import SCENARIOS
 from .workload import DatasetSpec, JobSpec
 
 WORKLOAD_FIELDS = (
@@ -42,6 +43,8 @@ TARGET_OBSERVABLES = (
 
 
 def feature_names(scenario: str) -> tuple[str, ...]:
+    if scenario not in SCENARIOS:
+        raise WorkloadError(f"unknown scenario {scenario!r}")
     return HETEROGENEOUS_FEATURES if scenario == "heterogeneous" else HOMOGENEOUS_FEATURES
 
 
@@ -176,17 +179,6 @@ class SampleTable:
             targets=np.concatenate([t.targets for t in tables]),
             feature_names=first.feature_names,
             target_names=first.target_names,
-        )
-
-    def subset(self, row_mask: np.ndarray) -> "SampleTable":
-        return SampleTable(
-            scenario=self.scenario,
-            simulation_ids=self.simulation_ids[row_mask],
-            job_indices=self.job_indices[row_mask],
-            features=self.features[row_mask],
-            targets=self.targets[row_mask],
-            feature_names=self.feature_names,
-            target_names=self.target_names,
         )
 
 

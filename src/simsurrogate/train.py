@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .nn.autodiff import Tensor
+from .nn.autodiff import masked_fill
 from .nn.models import ModelConfig, init_params, model_forward, wrap_params
 from .preprocess import WindowBatch
 
@@ -27,14 +27,15 @@ class TrainConfig:
             raise TrainingError("max_epochs must be >= 1")
 
 
-def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error over mask-true positions and all observables."""
+def mse_loss(pred, target: np.ndarray, mask: np.ndarray):
+    """Mean squared error over mask-true positions and all observables; a
+    Tensor on the tape for a Tensor `pred`, a float64 for an ndarray."""
     mask = np.asarray(mask, dtype=bool)
     n_real = int(mask.sum())
     if n_real == 0:
         raise TrainingError("mask is all-false; no real positions to score")
-    diff = pred - Tensor(np.asarray(target, dtype=float))
-    sq = (diff * diff).masked_fill(mask[..., None], 0.0)
+    diff = pred - np.asarray(target, dtype=float)
+    sq = masked_fill(diff * diff, mask[..., None], 0.0)
     return sq.sum() * (1.0 / (n_real * pred.shape[-1]))
 
 
@@ -69,21 +70,20 @@ class EpochStats:
 
 
 def _batch_loss(config: ModelConfig, params: dict[str, np.ndarray],
-                batch: WindowBatch, backward: bool):
+                batch: WindowBatch) -> tuple[float, dict[str, np.ndarray]]:
+    """The batch's loss and its gradient with respect to each parameter."""
     tensors = wrap_params(params)
     pred = model_forward(config, tensors, batch.windows, batch.mask)
     loss = mse_loss(pred, batch.targets, batch.mask)
-    grads = None
-    if backward:
-        loss.backward()
-        grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
-    return float(loss.data), grads
+    loss.backward()
+    return float(loss.data), {k: t.grad for k, t in tensors.items() if t.grad is not None}
 
 
 def evaluate_loss(config: ModelConfig, params: dict[str, np.ndarray],
                   batch: WindowBatch) -> float:
-    loss, _ = _batch_loss(config, params, batch, backward=False)
-    return loss
+    """The batch's loss, from plain numpy with no autodiff tape."""
+    pred = model_forward(config, params, batch.windows, batch.mask)
+    return float(mse_loss(pred, batch.targets, batch.mask))
 
 
 def train_model(config: TrainConfig, train_batch: WindowBatch,
@@ -105,7 +105,7 @@ def train_model(config: TrainConfig, train_batch: WindowBatch,
         train_losses = []
         for start in range(0, len(order), bs):
             batch = train_batch.select(order[start:start + bs])
-            loss, grads = _batch_loss(model_cfg, params, batch, backward=True)
+            loss, grads = _batch_loss(model_cfg, params, batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}: loss={loss}")
             opt.step(grads)

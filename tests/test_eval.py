@@ -18,7 +18,7 @@ from simsurrogate.evaluate import (
     write_speedup_csv,
 )
 from simsurrogate.nn.models import ModelConfig
-from simsurrogate.preprocess import fit_standardizer, make_windows
+from simsurrogate.preprocess import fit_standardizer, make_windows, standardize_table
 from simsurrogate.traceio import SampleTable
 from simsurrogate.train import TrainConfig, train_model
 
@@ -124,10 +124,7 @@ def trained():
     table = linear_table()
     f_std = fit_standardizer(table.features, names=table.feature_names)
     t_std = fit_standardizer(table.targets, names=table.target_names)
-    scaled = SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                         f_std.transform(table.features),
-                         t_std.transform(table.targets),
-                         table.feature_names, table.target_names)
+    scaled = standardize_table(table, f_std, t_std)
     model = ModelConfig(architecture="bigru", input_dim=1, output_dim=1,
                         hidden_size=16, window_size=8, batch_size=16, seed=0)
     batch = make_windows(scaled, 8, 0)

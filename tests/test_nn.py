@@ -19,7 +19,12 @@ from simsurrogate.nn.models import (
     sinusoidal_encoding,
     wrap_params,
 )
-from simsurrogate.preprocess import fit_standardizer, make_windows, unwindow_aligned
+from simsurrogate.preprocess import (
+    fit_standardizer,
+    make_windows,
+    standardize_table,
+    unwindow_aligned,
+)
 from simsurrogate.traceio import SampleTable
 
 
@@ -434,9 +439,7 @@ class TestInferenceForward:
         )
         f_std = fit_standardizer(table.features)
         t_std = fit_standardizer(table.targets)
-        scaled = SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                             f_std.transform(table.features), table.targets,
-                             table.feature_names, table.target_names)
+        scaled = standardize_table(table, f_std, t_std)
         batch = make_windows(scaled, config.window_size, config.window_overlap)
         assert len(batch) > 256 and not batch.mask[-1].all()
         whole = model_forward(config, wrap_params(params), batch.windows, batch.mask).data
@@ -449,3 +452,46 @@ class TestInferenceForward:
         config = tiny_config("bigru")
         with pytest.raises(ModelConfigError, match="input_dim"):
             model_forward_infer(config, init_params(config), np.zeros((1, 4, 7)))
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm", "transformer"])
+    def test_builds_no_tensor(self, arch, monkeypatch):
+        config = tiny_config(arch)
+        params = init_params(config)
+        windows = np.random.default_rng(6).normal(size=(3, config.window_size, 3))
+        mask = np.ones((3, config.window_size), dtype=bool)
+        mask[-1, 1:] = False
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a Tensor was built")
+
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        out = model_forward_infer(config, params, windows, mask)
+        assert type(out) is np.ndarray and out.shape == (3, config.window_size, 2)
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm"])
+    def test_recurrent_bit_identical_to_autodiff(self, arch):
+        config = tiny_config(arch)
+        params = init_params(config)
+        windows = np.random.default_rng(7).normal(size=(5, config.window_size, 3))
+        slow = model_forward(config, wrap_params(params), windows).data
+        np.testing.assert_array_equal(model_forward_infer(config, params, windows), slow)
+
+
+class TestNdarrayOperands:
+    """A plain ndarray on the left of a Tensor op yields a Tensor on the tape."""
+
+    def test_add_and_matmul_stay_on_tape(self):
+        rng = np.random.default_rng(8)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = rng.normal(size=(4, 3))
+        out = np.ones((4, 2)) + x @ w
+        assert isinstance(out, Tensor)
+        out.sum().backward()
+        np.testing.assert_allclose(w.grad, x.sum(axis=0)[:, None] * np.ones((1, 2)))
+
+    def test_sub_and_mul_stay_on_tape(self):
+        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        out = np.float64(2.0) * (np.ones(3) - a)
+        assert isinstance(out, Tensor)
+        out.sum().backward()
+        np.testing.assert_array_equal(a.grad, [-2.0, -2.0, -2.0])

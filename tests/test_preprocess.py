@@ -13,6 +13,7 @@ from simsurrogate.preprocess import (
     make_windows,
     split_train_eval,
     unwindow,
+    unwindow_aligned,
 )
 from simsurrogate.traceio import SampleTable
 
@@ -143,6 +144,19 @@ class TestWindows:
         values[1, 0] = 999.0
         per_row = unwindow(values, batch.provenance)
         np.testing.assert_array_equal(per_row[(0, 2)], table.targets[2])
+
+    @pytest.mark.parametrize("sid, job", [(0, 2**32), (0, 2**31), (2**31, 0), (-2, 0)])
+    def test_keys_out_of_range_rejected(self, sid, job):
+        """(0, 2**32) would pack to the key of (1, 0)."""
+        table = table_from([3])
+        table.simulation_ids[:] = [1, 1, sid]
+        table.job_indices[:] = [0, 1, job]
+        batch = make_windows(table, 4, 0)
+        with pytest.raises(PreprocessError, match=r"2\*\*31"):
+            unwindow(batch.targets, batch.provenance)
+        with pytest.raises(PreprocessError, match=r"2\*\*31"):
+            unwindow_aligned(batch.targets, batch.provenance,
+                             table.simulation_ids, table.job_indices)
 
     @given(n=st.integers(1, 40), w=st.integers(2, 10), data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from simsurrogate.engine import run_simulation
-from simsurrogate.errors import JoinError
+from simsurrogate.errors import JoinError, WorkloadError
 from simsurrogate.platform import builtin_platform
 from simsurrogate.traceio import (
     HETEROGENEOUS_FEATURES,
     HOMOGENEOUS_FEATURES,
+    feature_names,
     join_traces,
     read_samples_csv,
     read_trace_csv,
@@ -100,3 +101,17 @@ def test_samples_csv_swapped_columns_rejected(tmp_path, sim_data, first, second)
         "\n".join(",".join(cells) for cells in lines) + "\n", encoding="utf-8")
     with pytest.raises(JoinError, match="header"):
         read_samples_csv(tmp_path / "swapped.csv")
+
+
+def test_unknown_scenario_rejected(tmp_path, sim_data):
+    with pytest.raises(WorkloadError, match="unknown scenario"):
+        feature_names("heterogenous")
+    jobs, ds, traces = sim_data
+    write_workload_csv(tmp_path / "w.csv", jobs, ds.sizes())
+    table = join_traces("heterogeneous", read_workload_csv(tmp_path / "w.csv"), traces)
+    write_samples_csv(tmp_path / "samples.csv", table)
+    text = (tmp_path / "samples.csv").read_text(encoding="utf-8")
+    (tmp_path / "garbage.csv").write_text(text.replace("\nheterogeneous,", "\nnonsense,"),
+                                          encoding="utf-8")
+    with pytest.raises(WorkloadError, match="unknown scenario"):
+        read_samples_csv(tmp_path / "garbage.csv")

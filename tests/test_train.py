@@ -3,7 +3,7 @@ import pytest
 
 from simsurrogate.errors import TrainingError
 from simsurrogate.nn.autodiff import Tensor
-from simsurrogate.nn.models import ModelConfig
+from simsurrogate.nn.models import ModelConfig, init_params, model_forward, wrap_params
 from simsurrogate.preprocess import WindowBatch
 from simsurrogate.train import Adam, TrainConfig, evaluate_loss, mse_loss, train_model
 
@@ -45,6 +45,12 @@ class TestMseLoss:
         garbage[~mask] = 1e9
         b = float(mse_loss(Tensor(pred), garbage, mask).data)
         assert a == b
+
+    def test_ndarray_prediction_gives_the_same_float(self):
+        rng = np.random.default_rng(1)
+        pred, target = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+        mask = rng.random((3, 4)) < 0.7
+        assert float(mse_loss(pred, target, mask)) == float(mse_loss(Tensor(pred), target, mask).data)
 
     def test_all_false_mask_rejected(self):
         with pytest.raises(TrainingError, match="all-false"):
@@ -112,6 +118,24 @@ class TestTrainModel:
         params, history = train_model(config, train_batch, eval_batch)
         best = evaluate_loss(config.model, params, eval_batch)
         assert best <= min(h.eval_loss for h in history) + 1e-12
+
+    @pytest.mark.parametrize("arch", ["bigru", "transformer"])
+    def test_evaluate_loss_builds_no_tensor(self, arch, monkeypatch):
+        config, _, eval_batch = linear_task(arch)
+        params = init_params(config.model)
+        expected = float(mse_loss(model_forward(config.model, wrap_params(params),
+                                                eval_batch.windows, eval_batch.mask),
+                                  eval_batch.targets, eval_batch.mask).data)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a Tensor was built")
+
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        loss = evaluate_loss(config.model, params, eval_batch)
+        if arch == "bigru":
+            assert loss == expected
+        else:
+            assert loss == pytest.approx(expected, rel=1e-10)
 
     def test_empty_training_data_rejected(self):
         config, train_batch, eval_batch = linear_task("bigru")
