@@ -4,7 +4,7 @@ single .npz container with a versioned header."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from .errors import TrainingError
 from .nn.models import ModelConfig, init_params
 from .preprocess import Standardizer
+from .scenarios import get_scenario
 
 CHECKPOINT_VERSION = 1
 
@@ -47,6 +48,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if header.get("version") != CHECKPOINT_VERSION:
             raise TrainingError(f"unsupported checkpoint version {header.get('version')}")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    keys, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
+    if keys != known:
+        raise TrainingError(f"checkpoint config keys: missing {sorted(known - keys)}, "
+                            f"unexpected {sorted(keys - known)}")
     ckpt = Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         params=params,
@@ -60,8 +65,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _validate(ckpt: Checkpoint) -> None:
-    """Parameter names and shapes as init_params(config) makes them, and
+    """A known scenario whose feature count is the model's input width,
+    parameter names and shapes as init_params(config) makes them, and
     standardizers as wide as the model's input and output."""
+    features = get_scenario(ckpt.scenario).features
+    if ckpt.config.input_dim != len(features):
+        raise TrainingError(f"checkpoint input_dim {ckpt.config.input_dim}, but scenario "
+                            f"{ckpt.scenario} has {len(features)} features")
     expected = init_params(ckpt.config)
     if set(expected) != set(ckpt.params):
         raise TrainingError(

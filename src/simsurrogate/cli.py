@@ -33,7 +33,7 @@ from .errors import (
     WorkloadError,
 )
 from .evaluate import evaluate_model, predict_rows, speedup_report, write_report, write_speedup_csv
-from .nn.models import ModelConfig
+from .nn.models import ARCHITECTURES, ModelConfig
 from .platform import builtin_platform
 from .preprocess import (
     Standardizer,
@@ -42,6 +42,7 @@ from .preprocess import (
     split_train_eval,
     standardize_table,
 )
+from .scenarios import SCENARIOS, get_scenario
 from .traceio import (
     TARGET_OBSERVABLES,
     SampleTable,
@@ -137,7 +138,9 @@ def resolve_manifest(manifest_path: str | None, **flags) -> ExperimentManifest:
             raise click.ClickException(f"unknown manifest keys: {sorted(unknown)}")
         values.update(doc)
     values.update({k: v for k, v in flags.items() if v is not None})
-    return ExperimentManifest(**values)
+    man = ExperimentManifest(**values)
+    get_scenario(man.scenario)
+    return man
 
 
 def _scenario_dir(man: ExperimentManifest) -> Path:
@@ -201,12 +204,10 @@ def _handle_errors(fn):
 def common_options(fn):
     fn = click.option("--manifest", "manifest_path", type=click.Path(), default=None,
                       help="JSON manifest; flags override its values.")(fn)
-    fn = click.option("--scenario", type=click.Choice(["homogeneous", "heterogeneous"]),
-                      default=None)(fn)
+    fn = click.option("--scenario", type=click.Choice(list(SCENARIOS)), default=None)(fn)
     fn = click.option("--sims-per-batch", type=int, default=None)(fn)
     fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--arch", type=click.Choice(["bigru", "bilstm", "transformer"]),
-                      default=None)(fn)
+    fn = click.option("--arch", type=click.Choice(ARCHITECTURES), default=None)(fn)
     fn = click.option("--out", type=click.Path(), default=None)(fn)
     fn = click.option("--jobs", type=int, default=None, help="Worker process cap.")(fn)
     return fn

@@ -2,9 +2,8 @@
 
 A platform is stored as a flat JSON document with top-level keys ``nodes``,
 ``links`` and ``routes``.  Field names carry their unit as a suffix
-(``core_speed_flops``, ``bandwidth_bps``, ``latency_s``).  Two presets are
-shipped: a small single-site star (``homogeneous``) and a two-data-center
-layout (``heterogeneous``).
+(``core_speed_flops``, ``bandwidth_bps``, ``latency_s``).  Each scenario in
+the registry (``scenarios.py``) ships its preset platform as such a document.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PlatformFormatError, PlatformValidationError
+from .scenarios import get_scenario
 
 WORKER = "worker"
 SCHEDULER = "scheduler"
 STORAGE = "storage"
 _ROLES = (WORKER, SCHEDULER, STORAGE)
-
-SCENARIOS = ("homogeneous", "heterogeneous")
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,11 @@ def parse_platform(text: str) -> PlatformSpec:
         raise PlatformFormatError(
             f"platform document is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    return platform_from_doc(doc)
+
+
+def platform_from_doc(doc: dict) -> PlatformSpec:
+    """Convert a decoded platform document's fields and validate the result."""
     if not isinstance(doc, dict):
         raise PlatformFormatError("platform document must be a JSON object")
     try:
@@ -163,93 +166,6 @@ def serialize_platform(spec: PlatformSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-# Preset constants.  The presets pin every quantity the scenario layouts leave
-# open so simulated traces are bit-reproducible.
-INTRA_SITE_BW_BPS = 1.25e8  # 1 Gb/s
-INTRA_SITE_LATENCY_S = 1e-4
-INTER_DC_BW_BPS = 1.25e9  # 10 Gb/s
-INTER_DC_LATENCY_S = 1e-2
-STORAGE_DISK_BW_BPS = 2.5e8
-STORAGE_CAPACITY_BYTES = 10**15
-WORKER_SPEED_FLOPS = 1e9
-# The 12-core node runs at half speed so per-job compute times are bimodal
-# instead of a single constant value.
-SLOW_WORKER_SPEED_FLOPS = 5e8
-DC2_WORKER_SPEED_FLOPS = 2e9
-
-HOMOGENEOUS_STORAGE = "storage0"
-HETEROGENEOUS_STORAGE = "dc1_storage"
-
-
-def _star_routes(storage_id: str, worker_ids: list[str], storage_link: str,
-                 worker_links: dict[str, str]) -> dict[tuple[str, str], tuple[str, ...]]:
-    routes: dict[tuple[str, str], tuple[str, ...]] = {}
-    for w in worker_ids:
-        routes[(storage_id, w)] = (storage_link, worker_links[w])
-        routes[(w, storage_id)] = (worker_links[w], storage_link)
-    return routes
-
-
 def builtin_platform(scenario: str) -> PlatformSpec:
-    """Return one of the two preset platforms, already validated."""
-    if scenario == "homogeneous":
-        workers = [
-            NodeSpec("worker0", WORKER, cores=24, core_speed_flops=WORKER_SPEED_FLOPS),
-            NodeSpec("worker1", WORKER, cores=24, core_speed_flops=WORKER_SPEED_FLOPS),
-            NodeSpec("worker2", WORKER, cores=12, core_speed_flops=SLOW_WORKER_SPEED_FLOPS),
-        ]
-        nodes = tuple(workers) + (
-            NodeSpec("scheduler0", SCHEDULER),
-            NodeSpec(
-                HOMOGENEOUS_STORAGE,
-                STORAGE,
-                disk_read_bw_bps=STORAGE_DISK_BW_BPS,
-                disk_write_bw_bps=STORAGE_DISK_BW_BPS,
-                storage_capacity_bytes=STORAGE_CAPACITY_BYTES,
-            ),
-        )
-        links = tuple(
-            LinkSpec(f"link_{n.id}", INTRA_SITE_BW_BPS, INTRA_SITE_LATENCY_S)
-            for n in nodes
-            if n.role != SCHEDULER
-        )
-        routes = _star_routes(
-            HOMOGENEOUS_STORAGE,
-            [w.id for w in workers],
-            f"link_{HOMOGENEOUS_STORAGE}",
-            {w.id: f"link_{w.id}" for w in workers},
-        )
-        spec = PlatformSpec(nodes=nodes, links=links, routes=routes)
-    elif scenario == "heterogeneous":
-        dc1_workers = [
-            NodeSpec(f"dc1_worker{i:02d}", WORKER, cores=42, core_speed_flops=WORKER_SPEED_FLOPS)
-            for i in range(10)
-        ]
-        dc2_worker = NodeSpec("dc2_worker0", WORKER, cores=200,
-                              core_speed_flops=DC2_WORKER_SPEED_FLOPS)
-        storage = NodeSpec(
-            HETEROGENEOUS_STORAGE,
-            STORAGE,
-            disk_read_bw_bps=STORAGE_DISK_BW_BPS,
-            disk_write_bw_bps=STORAGE_DISK_BW_BPS,
-            storage_capacity_bytes=STORAGE_CAPACITY_BYTES,
-        )
-        nodes = tuple(dc1_workers) + (dc2_worker, storage, NodeSpec("dc1_scheduler", SCHEDULER))
-        links = [LinkSpec(f"link_{w.id}", INTRA_SITE_BW_BPS, INTRA_SITE_LATENCY_S)
-                 for w in dc1_workers]
-        links.append(LinkSpec("link_dc2_worker0", INTRA_SITE_BW_BPS, INTRA_SITE_LATENCY_S))
-        links.append(LinkSpec(f"link_{HETEROGENEOUS_STORAGE}", INTRA_SITE_BW_BPS,
-                              INTRA_SITE_LATENCY_S))
-        links.append(LinkSpec("link_interdc", INTER_DC_BW_BPS, INTER_DC_LATENCY_S))
-        storage_link = f"link_{HETEROGENEOUS_STORAGE}"
-        routes: dict[tuple[str, str], tuple[str, ...]] = {}
-        for w in dc1_workers:
-            routes[(storage.id, w.id)] = (storage_link, f"link_{w.id}")
-            routes[(w.id, storage.id)] = (f"link_{w.id}", storage_link)
-        routes[(storage.id, dc2_worker.id)] = (storage_link, "link_interdc", "link_dc2_worker0")
-        routes[(dc2_worker.id, storage.id)] = ("link_dc2_worker0", "link_interdc", storage_link)
-        spec = PlatformSpec(nodes=nodes, links=tuple(links), routes=routes)
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    validate_platform(spec)
-    return spec
+    """Return a scenario's preset platform, validated like a user's file."""
+    return platform_from_doc(get_scenario(scenario).platform())

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TRACE_FIELDS, TraceRecord
-from .errors import JoinError, WorkloadError
-from .platform import SCENARIOS
+from .errors import JoinError
+from .scenarios import get_scenario
 from .workload import DatasetSpec, JobSpec
 
 WORKLOAD_FIELDS = (
@@ -28,11 +28,6 @@ WORKLOAD_FIELDS = (
     "class_id",
 )
 
-# Model feature order per scenario (simulation_id is carried for bookkeeping
-# but never fed to a model; job_index is a model feature).
-HOMOGENEOUS_FEATURES = ("job_index", "flops", "input_files_size_bytes",
-                        "output_files_size_bytes")
-HETEROGENEOUS_FEATURES = HOMOGENEOUS_FEATURES + ("submission_time_s",)
 TARGET_OBSERVABLES = (
     "compute_time_s",
     "input_files_transfer_time_s",
@@ -43,9 +38,7 @@ TARGET_OBSERVABLES = (
 
 
 def feature_names(scenario: str) -> tuple[str, ...]:
-    if scenario not in SCENARIOS:
-        raise WorkloadError(f"unknown scenario {scenario!r}")
-    return HETEROGENEOUS_FEATURES if scenario == "heterogeneous" else HOMOGENEOUS_FEATURES
+    return get_scenario(scenario).features
 
 
 def _fmt_time(x: float) -> str:

@@ -55,14 +55,6 @@ class TrialRecord:
     wall_clock_s: float
 
 
-def _valid(config: ModelConfig) -> bool:
-    if config.window_overlap >= config.window_size:
-        return False
-    if config.architecture == "transformer" and config.hidden_size % config.num_heads:
-        return False
-    return True
-
-
 def _try_replace(base: ModelConfig, **changes) -> ModelConfig | None:
     """Build a variant config; None if the combination fails validation."""
     try:
@@ -136,12 +128,13 @@ def tune_hyperparameters(
             for cand in space.candidates(param):
                 if cand == getattr(best_cfg, param):
                     continue  # already evaluated at this value
-                # bypass constructor validation so invalid combinations can
-                # still be recorded verbatim in the audit log
-                candidate = copy.copy(best_cfg)
-                setattr(candidate, param, int(cand))
-                if not _valid(candidate):
-                    audit.append(TrialRecord(trial_id, f"sweep:{param}", rank, candidate,
+                candidate = _try_replace(best_cfg, **{param: int(cand)})
+                if candidate is None:
+                    # bypass constructor validation so the invalid combination
+                    # can still be recorded verbatim in the audit log
+                    invalid = copy.copy(best_cfg)
+                    setattr(invalid, param, int(cand))
+                    audit.append(TrialRecord(trial_id, f"sweep:{param}", rank, invalid,
                                              float("nan"), "skipped:invalid combination", 0.0))
                     trial_id += 1
                     continue

@@ -1,4 +1,4 @@
-"""Seeded workload generation for both evaluation scenarios.
+"""Seeded workload generation for the registered scenarios.
 
 Sampling uses numpy's Philox counter-based generator keyed by
 ``(seed, scenario, simulation_id)`` so every simulation's workload is an
@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import WorkloadError
-from .platform import HOMOGENEOUS_STORAGE, HETEROGENEOUS_STORAGE, SCENARIOS
+from .scenarios import get_scenario
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ DEFAULT_JOB_CLASSES: tuple[JobClassSpec, ...] = (
     JobClassSpec(4, 1.0e12, 0.25, 2.0e9, 0.4, 2.0e8, 0.4, 12.0),
 )
 
-# Fixed demands of the homogeneous scenario.
-HOMOGENEOUS_FLOPS = 1e11
-HOMOGENEOUS_INPUT_BYTES = 1e9
-HOMOGENEOUS_OUTPUT_BYTES = 1e8
-
-_TINY = 1e-9
-
 
 def load_job_classes(path: str) -> tuple[JobClassSpec, ...]:
     with open(path, encoding="utf-8") as fh:
@@ -86,20 +79,6 @@ def dump_job_classes(classes: tuple[JobClassSpec, ...]) -> str:
     return json.dumps({"classes": [asdict(c) for c in classes]}, indent=2)
 
 
-def _rng(scenario: str, simulation_id: int, seed: int) -> np.random.Generator:
-    scenario_code = SCENARIOS.index(scenario)
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-         np.uint64((simulation_id << 1) | scenario_code)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _lognormal(rng: np.random.Generator, median: float, sigma: float) -> float:
-    return max(float(rng.lognormal(mean=np.log(median), sigma=sigma)), _TINY)
-
-
 def generate_workload(
     scenario: str,
     n_jobs: int,
@@ -108,53 +87,19 @@ def generate_workload(
     classes: tuple[JobClassSpec, ...] = DEFAULT_JOB_CLASSES,
 ) -> tuple[list[JobSpec], DatasetSpec]:
     """Generate one simulation's jobs and initial file placement."""
-    if scenario not in SCENARIOS:
-        raise WorkloadError(f"unknown scenario {scenario!r}")
+    entry = get_scenario(scenario)
     if n_jobs < 0:
         raise WorkloadError(f"n_jobs must be nonnegative, got {n_jobs}")
-
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+                    np.uint64((simulation_id << 1) | entry.code)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     jobs: list[JobSpec] = []
     files: list[FileSpec] = []
-    if scenario == "homogeneous":
-        storage = HOMOGENEOUS_STORAGE
-        for i in range(n_jobs):
-            file_id = f"sim{simulation_id}_job{i}_in"
-            files.append(FileSpec(file_id, HOMOGENEOUS_INPUT_BYTES, storage))
-            jobs.append(
-                JobSpec(
-                    simulation_id=simulation_id,
-                    job_index=i,
-                    submission_time_s=0.0,
-                    flops=HOMOGENEOUS_FLOPS,
-                    input_files=(file_id,),
-                    output_files_size_bytes=HOMOGENEOUS_OUTPUT_BYTES,
-                    class_id=0,
-                )
-            )
-    else:
-        storage = HETEROGENEOUS_STORAGE
-        rng = _rng(scenario, simulation_id, seed)
-        t = 0.0
-        for i in range(n_jobs):
-            cls = classes[int(rng.integers(len(classes)))]
-            gap = max(float(rng.exponential(cls.mean_interarrival_s)), _TINY)
-            t += gap
-            flops = _lognormal(rng, cls.flops_median, cls.flops_sigma)
-            in_size = _lognormal(rng, cls.input_size_median_bytes, cls.input_size_sigma)
-            out_size = _lognormal(rng, cls.output_size_median_bytes, cls.output_size_sigma)
-            file_id = f"sim{simulation_id}_job{i}_in"
-            files.append(FileSpec(file_id, in_size, storage))
-            jobs.append(
-                JobSpec(
-                    simulation_id=simulation_id,
-                    job_index=i,
-                    submission_time_s=t,
-                    flops=flops,
-                    input_files=(file_id,),
-                    output_files_size_bytes=out_size,
-                    class_id=cls.class_id,
-                )
-            )
+    for i, (submit, flops, in_size, out_size, class_id) in enumerate(
+            entry.demands(rng, n_jobs, classes)):
+        file_id = f"sim{simulation_id}_job{i}_in"
+        files.append(FileSpec(file_id, in_size, entry.storage))
+        jobs.append(JobSpec(simulation_id, i, submit, flops, (file_id,), out_size, class_id))
     return jobs, DatasetSpec(files=tuple(files))
 
 
@@ -172,8 +117,7 @@ EXTRAPOLATION_SIMULATIONS = 10
 
 def scenario_suite(scenario: str, sims_per_batch: int = 1000) -> list[SuiteEntry]:
     """Training suite (10 job-count batches) plus the extrapolation suite."""
-    if scenario not in SCENARIOS:
-        raise WorkloadError(f"unknown scenario {scenario!r}")
+    get_scenario(scenario)
     if sims_per_batch < 1:
         raise WorkloadError("sims_per_batch must be >= 1")
     suite = [SuiteEntry(n, sims_per_batch, "train") for n in TRAIN_JOB_COUNTS]

@@ -1,17 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from simsurrogate.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from simsurrogate.errors import TrainingError
+from simsurrogate.errors import TrainingError, WorkloadError
 from simsurrogate.nn.models import ModelConfig, init_params
 from simsurrogate.preprocess import fit_standardizer
 
 
 def checkpoint(**changes) -> Checkpoint:
-    config = ModelConfig("bigru", input_dim=3, output_dim=2, hidden_size=4)
+    # heterogeneous samples carry 5 feature columns
+    config = ModelConfig("bigru", input_dim=5, output_dim=2, hidden_size=4)
     rng = np.random.default_rng(0)
     fields = dict(config=config, params=init_params(config),
-                  feature_std=fit_standardizer(rng.normal(size=(5, 3))),
+                  feature_std=fit_standardizer(rng.normal(size=(5, 5))),
                   target_std=fit_standardizer(rng.normal(size=(5, 2))),
                   scenario="heterogeneous", seed=0)
     fields.update(changes)
@@ -47,4 +50,39 @@ def test_wrong_standardizer_arity_rejected(tmp_path):
     ckpt = checkpoint(feature_std=fit_standardizer(np.ones((5, 4))))
     save_checkpoint(tmp_path / "c.npz", ckpt)
     with pytest.raises(TrainingError, match="feature standardizer"):
+        load_checkpoint(tmp_path / "c.npz")
+
+
+def resave_with_header(path, edit):
+    """Rewrite a saved checkpoint's JSON header through `edit(header)`."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+    edit(header)
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h["config"].update(dropout=0.1), r"unexpected \['dropout'\]"),
+    (lambda h: h["config"].pop("hidden_size"), r"missing \['hidden_size'\]"),
+], ids=["extra_key", "missing_key"])
+def test_config_keys_must_match(tmp_path, edit, match):
+    save_checkpoint(tmp_path / "c.npz", checkpoint())
+    resave_with_header(tmp_path / "c.npz", edit)
+    with pytest.raises(TrainingError, match=match):
+        load_checkpoint(tmp_path / "c.npz")
+
+
+def test_unknown_scenario_rejected(tmp_path):
+    save_checkpoint(tmp_path / "c.npz", checkpoint())
+    resave_with_header(tmp_path / "c.npz", lambda h: h.update(scenario="nonsense"))
+    with pytest.raises(WorkloadError, match="unknown scenario 'nonsense'"):
+        load_checkpoint(tmp_path / "c.npz")
+
+
+def test_input_dim_must_match_scenario_features(tmp_path):
+    # a 5-feature model labelled with the 4-feature homogeneous scenario
+    save_checkpoint(tmp_path / "c.npz", checkpoint(scenario="homogeneous"))
+    with pytest.raises(TrainingError, match="input_dim 5.*4 features"):
         load_checkpoint(tmp_path / "c.npz")

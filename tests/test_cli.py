@@ -117,6 +117,14 @@ class TestErrorPaths:
         result = CliRunner().invoke(main, ["simulate", "--scenario", "mixed"])
         assert result.exit_code != 0
 
+    def test_unknown_manifest_scenario_exits_3_before_writing(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"scenario": "galactic", "out": str(tmp_path / "out")}))
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
+        assert result.exit_code == 3
+        assert "unknown scenario 'galactic'" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simsurrogate.errors import PlatformFormatError, PlatformValidationError
+from simsurrogate.errors import PlatformFormatError, PlatformValidationError, WorkloadError
 from simsurrogate.platform import (
     builtin_platform,
     parse_platform,
@@ -87,5 +87,5 @@ def test_scheduler_with_cores_rejected():
 
 
 def test_unknown_scenario():
-    with pytest.raises(ValueError, match="unknown scenario"):
+    with pytest.raises(WorkloadError, match="unknown scenario"):
         builtin_platform("galactic")

@@ -5,8 +5,6 @@ from simsurrogate.engine import run_simulation
 from simsurrogate.errors import JoinError, WorkloadError
 from simsurrogate.platform import builtin_platform
 from simsurrogate.traceio import (
-    HETEROGENEOUS_FEATURES,
-    HOMOGENEOUS_FEATURES,
     feature_names,
     join_traces,
     read_samples_csv,
@@ -58,9 +56,10 @@ def test_join_produces_ordered_rows(tmp_path, sim_data):
     table = join_traces("heterogeneous", read_workload_csv(tmp_path / "w.csv"), traces)
     assert len(table) == 10
     assert list(table.job_indices) == list(range(10))
-    assert table.feature_names == HETEROGENEOUS_FEATURES
+    assert table.feature_names == ("job_index", "flops", "input_files_size_bytes",
+                                   "output_files_size_bytes", "submission_time_s")
     # submission_time is a feature only in the heterogeneous scenario
-    assert "submission_time_s" not in HOMOGENEOUS_FEATURES
+    assert "submission_time_s" not in feature_names("homogeneous")
 
 
 def test_join_disjoint_keys_error(sim_data):
