@@ -14,7 +14,7 @@ from .nn.models import ModelConfig, init_params
 from .preprocess import Standardizer
 from .scenarios import get_scenario
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: recurrent gates stored fused
 
 
 @dataclass
@@ -46,7 +46,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     with np.load(path) as data:
         header = json.loads(bytes(data["__header__"]).decode("utf-8"))
         if header.get("version") != CHECKPOINT_VERSION:
-            raise TrainingError(f"unsupported checkpoint version {header.get('version')}")
+            raise TrainingError(f"unsupported checkpoint version {header.get('version')}; "
+                                f"this build reads version {CHECKPOINT_VERSION}, retrain the model")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
     keys, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
     if keys != known:

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -123,6 +124,21 @@ class ExperimentManifest:
         ).hexdigest()
 
 
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value fits a manifest field type.  A bool is not a
+    number, and an int is a valid float."""
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _type_name(tp) -> str:
+    return str(tp) if typing.get_args(tp) else tp.__name__
+
+
 def resolve_manifest(manifest_path: str | None, **flags) -> ExperimentManifest:
     """Merge defaults, manifest file, and explicit flags (in rising priority)."""
     values: dict = {}
@@ -133,9 +149,14 @@ def resolve_manifest(manifest_path: str | None, **flags) -> ExperimentManifest:
             raise click.ClickException(f"cannot read manifest: {exc}")
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"manifest is not valid JSON: {exc}")
-        unknown = set(doc) - set(ExperimentManifest.__dataclass_fields__)
+        types = typing.get_type_hints(ExperimentManifest)
+        unknown = set(doc) - set(types)
         if unknown:
             raise click.ClickException(f"unknown manifest keys: {sorted(unknown)}")
+        mistyped = [f"{k}={v!r} (wants {_type_name(types[k])})"
+                    for k, v in doc.items() if not _has_type(v, types[k])]
+        if mistyped:
+            raise click.ClickException(f"manifest values of the wrong type: {', '.join(mistyped)}")
         values.update(doc)
     values.update({k: v for k, v in flags.items() if v is not None})
     man = ExperimentManifest(**values)

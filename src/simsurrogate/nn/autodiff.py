@@ -254,6 +254,25 @@ def stack(items: list, axis: int = 0):
                   grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
 
 
+def fused_node(data: np.ndarray, parents: list, backward) -> Tensor:
+    """A tape node whose parents' gradients all come from one call to
+    `backward(grad)`, which returns them in parent order; the call is made
+    once per incoming grad and shared among the parents."""
+    tensors = tuple(Tensor._coerce(t) for t in parents)
+    memo: list = [None, None]
+
+    def make_grad(i):
+        def grad(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, backward(g)
+            return memo[1][i]
+
+        return grad
+
+    return Tensor(data, parents=tensors,
+                  grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
+
+
 def softmax(x, axis: int = -1):
     """Softmax along `axis`.  An ndarray is overwritten with the result."""
     if not isinstance(x, Tensor):

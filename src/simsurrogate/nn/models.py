@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ModelConfigError
-from .autodiff import Tensor, concat, masked_fill, sigmoid, softmax, stack, tanh
+from .autodiff import Tensor, concat, fused_node, masked_fill, softmax, tanh
 
 ARCHITECTURES = ("bigru", "bilstm", "transformer")
 
@@ -52,12 +53,14 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _gate_params(rng, prefix: str, in_dim: int, hidden: int, gates: tuple[str, ...],
-                 params: dict) -> None:
-    for gate in gates:
-        params[f"{prefix}.W{gate}"] = _uniform(rng, in_dim, (in_dim, hidden))
-        params[f"{prefix}.U{gate}"] = _uniform(rng, hidden, (hidden, hidden))
-        params[f"{prefix}.b{gate}"] = _uniform(rng, hidden, (hidden,))
+def _fused_gate_params(rng, in_dim: int, hidden: int, n_gates: int):
+    """A direction's W [in, n*h], U [h, n*h] and b [n*h].  Each gate's W, U and
+    b are drawn in turn, then joined along the gate axis, so the initial
+    weights do not depend on the fused layout."""
+    draws = [(_uniform(rng, in_dim, (in_dim, hidden)),
+              _uniform(rng, hidden, (hidden, hidden)),
+              _uniform(rng, hidden, (hidden,))) for _ in range(n_gates)]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*draws))
 
 
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
@@ -67,12 +70,18 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
         "embed.W": _uniform(rng, config.input_dim, (config.input_dim, h)),
         "embed.b": _uniform(rng, config.input_dim, (h,)),
     }
-    if config.architecture in ("bigru", "bilstm"):
-        gates = ("z", "r", "h") if config.architecture == "bigru" else ("i", "f", "o", "g")
+    if config.architecture in RNN_CELLS:
+        cell = RNN_CELLS[config.architecture]
         for layer in range(config.num_layers):
             in_dim = h if layer == 0 else 2 * h
             for direction in ("fwd", "bwd"):
-                _gate_params(rng, f"rnn{layer}.{direction}", in_dim, h, gates, params)
+                pre = f"rnn{layer}.{direction}"
+                w, u, b = _fused_gate_params(rng, in_dim, h, len(cell.gates))
+                params[f"{pre}.W"], params[f"{pre}.b"] = w, b
+                col = 0
+                for name, n_gates in cell.u_blocks:
+                    params[f"{pre}.{name}"] = u[:, col:col + n_gates * h].copy()
+                    col += n_gates * h
         out_in = 2 * h
     else:
         for layer in range(config.num_layers):
@@ -109,7 +118,9 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 # on ndarrays, layer_norm, _gelu and softmax run in-place numpy bodies, which
 # only ever write buffers that nothing else reads.  `+=` likewise adds in
 # place on an ndarray, while on a Tensor (which has no __iadd__) `h += y`
-# rebinds h to a new tape node.
+# rebinds h to a new tape node.  A recurrent direction is one kernel on both
+# routes: its forward is always numpy, and on Tensors it adds a single tape
+# node with a hand-written backward (see rnn_direction).
 
 def linear_forward(x, w, b):
     if x.shape[-1] != w.shape[0]:
@@ -119,47 +130,217 @@ def linear_forward(x, w, b):
     return out
 
 
-def gru_cell(x_t, h_prev, p: dict, prefix: str):
-    z = sigmoid(x_t @ p[f"{prefix}.Wz"] + h_prev @ p[f"{prefix}.Uz"] + p[f"{prefix}.bz"])
-    r = sigmoid(x_t @ p[f"{prefix}.Wr"] + h_prev @ p[f"{prefix}.Ur"] + p[f"{prefix}.br"])
-    cand = tanh(x_t @ p[f"{prefix}.Wh"] + (r * h_prev) @ p[f"{prefix}.Uh"] + p[f"{prefix}.bh"])
-    return (1.0 - z) * h_prev + z * cand
+# Recurrent layers -----------------------------------------------------------
+#
+# Each direction stores its gates fused: a GRU has W [in, 3h] (z, r and
+# candidate columns), U_zr [h, 2h], U_h [h, h] and b [3h]; U_h stays apart
+# because the candidate reads (r*h) @ U_h.  An LSTM has W [in, 4h] (i, f, o,
+# g), U [h, 4h] and b [4h].  rnn_direction runs one direction in numpy,
+# time-major, whatever the array type: one x @ W + b matmul covers every
+# step, and each step multiplies only the hidden state.  Inside, the
+# pre-activations are gate-major, [T, gates, batch, h]: each gate's block is
+# contiguous, and every forward matmul is a stack of [batch, h] @ [h, h],
+# which OpenBLAS ran faster per flop than one [batch, h] @ [h, gates*h] (256
+# windows, h=32).  The scan overwrites them with the gate activations.  Given
+# Tensors, rnn_direction returns one tape node whose backward is the
+# hand-written BPTT below, run once for all of the node's parents (x, W, the
+# U blocks and b).
+
+def _sigmoid_(a: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, in place."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
 
 
-def lstm_cell(x_t, state: tuple, p: dict, prefix: str) -> tuple:
-    h_prev, c_prev = state
-    i = sigmoid(x_t @ p[f"{prefix}.Wi"] + h_prev @ p[f"{prefix}.Ui"] + p[f"{prefix}.bi"])
-    f = sigmoid(x_t @ p[f"{prefix}.Wf"] + h_prev @ p[f"{prefix}.Uf"] + p[f"{prefix}.bf"])
-    o = sigmoid(x_t @ p[f"{prefix}.Wo"] + h_prev @ p[f"{prefix}.Uo"] + p[f"{prefix}.bo"])
-    g = tanh(x_t @ p[f"{prefix}.Wg"] + h_prev @ p[f"{prefix}.Ug"] + p[f"{prefix}.bg"])
-    c_t = f * c_prev + i * g
-    h_t = o * tanh(c_t)
-    return h_t, c_t
+def _previous(seq: np.ndarray, reverse: bool) -> np.ndarray:
+    """The state each step started from: seq shifted one step against the
+    scan order, with the zero initial state at the scan's first step."""
+    prev = np.zeros_like(seq)
+    if reverse:
+        prev[:-1] = seq[1:]
+    else:
+        prev[1:] = seq[:-1]
+    return prev
 
 
-def _run_direction(x, p: dict, prefix: str, hidden: int, kind: str, reverse: bool) -> list:
-    batch, seq_len = x.shape[0], x.shape[1]
-    h = c = np.zeros((batch, hidden))
-    order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
-    outputs: list = [None] * seq_len
+def _gru_scan(act: np.ndarray, order, u_zr: np.ndarray, u_h: np.ndarray):
+    """act [T, 3, batch, h] holds x @ W + b; on return it holds z, r and the
+    candidate.  Returns the states [T, batch, h] and nothing else to keep."""
+    hid = u_h.shape[0]
+    u_zr = u_zr.reshape(hid, 2, hid).transpose(1, 0, 2)
+    out = np.empty(act[:, 0].shape)
+    h = np.zeros(out.shape[1:])
+    hu, rh, rhu = np.empty((2,) + h.shape), np.empty_like(h), np.empty_like(h)
     for t in order:
-        x_t = x[:, t, :]
-        if kind == "bigru":
-            h = gru_cell(x_t, h, p, prefix)
-        else:
-            h, c = lstm_cell(x_t, (h, c), p, prefix)
-        outputs[t] = h
-    return outputs
+        zr = act[t, :2]
+        zr += np.matmul(h, u_zr, out=hu)
+        _sigmoid_(zr)
+        np.multiply(zr[1], h, out=rh)
+        cand = act[t, 2]
+        cand += np.matmul(rh, u_h, out=rhu)
+        np.tanh(cand, out=cand)
+        h_new = out[t]  # h + z * (cand - h)
+        np.subtract(cand, h, out=h_new)
+        h_new *= zr[0]
+        h_new += h
+        h = h_new
+    return out, ()
 
 
-def bidirectional_forward(x, p: dict, layer_prefix: str, hidden: int, kind: str):
-    """[batch, T, in] -> [batch, T, 2*hidden], fwd/bwd halves concatenated."""
-    if x.shape[1] < 1:
+def _gru_bptt(dout: np.ndarray, act: np.ndarray, out: np.ndarray, saved, order,
+              reverse: bool, u_zr: np.ndarray, u_h: np.ndarray) -> tuple:
+    """dL/d(x @ W + b) as rows [T, batch, 3h], and what U_zr and U_h
+    multiplied: h_prev and r * h_prev."""
+    hid = u_h.shape[0]
+    z, r, cand = act[:, 0], act[:, 1], act[:, 2]
+    h_prev = _previous(out, reverse)
+    # Each pre-activation's gradient is a step's incoming dh (or, for r, the
+    # gradient reaching r*h) times a factor the forward fixed.
+    keep = 1.0 - z
+    k_cand = cand * cand
+    np.subtract(1.0, k_cand, out=k_cand)
+    k_cand *= z
+    k_z = cand - h_prev
+    k_z *= z
+    k_z *= keep
+    k_r = 1.0 - r
+    k_r *= r
+    k_r *= h_prev
+    d_act = np.empty(out.shape[:2] + (3 * hid,))
+    u_zr_t, u_h_t = u_zr.T, u_h.T
+    dh = np.zeros(out.shape[1:])
+    for t in reversed(order):
+        dh += dout[t]
+        da = d_act[t]
+        np.multiply(dh, k_cand[t], out=da[:, 2 * hid:])
+        d_rh = da[:, 2 * hid:] @ u_h_t
+        np.multiply(dh, k_z[t], out=da[:, :hid])
+        np.multiply(d_rh, k_r[t], out=da[:, hid:2 * hid])
+        dh *= keep[t]
+        d_rh *= r[t]
+        dh += d_rh
+        dh += da[:, :2 * hid] @ u_zr_t
+    return d_act, (h_prev, r * h_prev)
+
+
+def _lstm_scan(act: np.ndarray, order, u: np.ndarray):
+    """act [T, 4, batch, h] holds x @ W + b; on return it holds i, f, o and g.
+    Returns the states [T, batch, h] and the cell states to keep."""
+    hid = u.shape[0]
+    u = u.reshape(hid, 4, hid).transpose(1, 0, 2)
+    out = np.empty(act[:, 0].shape)
+    cells = np.empty_like(out)
+    h = c = np.zeros(out.shape[1:])
+    hu, ig = np.empty(act.shape[1:]), np.empty_like(h)
+    for t in order:
+        a = act[t]
+        a += np.matmul(h, u, out=hu)
+        _sigmoid_(a[:3])
+        np.tanh(a[3], out=a[3])
+        c_new = cells[t]
+        np.multiply(a[1], c, out=c_new)
+        c_new += np.multiply(a[0], a[3], out=ig)
+        h_new = out[t]
+        np.tanh(c_new, out=h_new)
+        h_new *= a[2]
+        h, c = h_new, c_new
+    return out, (cells,)
+
+
+def _lstm_bptt(dout: np.ndarray, act: np.ndarray, out: np.ndarray, saved, order,
+               reverse: bool, u: np.ndarray) -> tuple:
+    """dL/d(x @ W + b) as rows [T, batch, 4h], and what U multiplied: h_prev."""
+    (cells,) = saved
+    hid = u.shape[0]
+    i, f, o, g = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
+    tc = np.tanh(cells)
+    # dL/d(pre-activation) is dh or dc times a factor the forward fixed.
+    k_o = 1.0 - o
+    k_o *= o
+    k_o *= tc
+    k_c = tc * tc
+    np.subtract(1.0, k_c, out=k_c)
+    k_c *= o
+    k_i = 1.0 - i
+    k_i *= i
+    k_i *= g
+    k_f = 1.0 - f
+    k_f *= f
+    k_f *= _previous(cells, reverse)
+    k_g = g * g
+    np.subtract(1.0, k_g, out=k_g)
+    k_g *= i
+    d_act = np.empty(out.shape[:2] + (4 * hid,))
+    u_t = u.T
+    dh = np.zeros(out.shape[1:])
+    dc, tmp = np.zeros_like(dh), np.empty_like(dh)
+    for t in reversed(order):
+        dh += dout[t]
+        dc += np.multiply(dh, k_c[t], out=tmp)
+        da = d_act[t]
+        np.multiply(dc, k_i[t], out=da[:, :hid])
+        np.multiply(dc, k_f[t], out=da[:, hid:2 * hid])
+        np.multiply(dh, k_o[t], out=da[:, 2 * hid:3 * hid])
+        np.multiply(dc, k_g[t], out=da[:, 3 * hid:])
+        dc *= f[t]
+        np.matmul(da, u_t, out=dh)
+    return d_act, (_previous(out, reverse),)
+
+
+@dataclass(frozen=True)
+class RnnCell:
+    gates: tuple[str, ...]
+    u_blocks: tuple[tuple[str, int], ...]  # (parameter name, gates it covers)
+    scan: Callable
+    bptt: Callable
+
+
+RNN_CELLS = {
+    "bigru": RnnCell(("z", "r", "h"), (("U_zr", 2), ("U_h", 1)), _gru_scan, _gru_bptt),
+    "bilstm": RnnCell(("i", "f", "o", "g"), (("U", 4),), _lstm_scan, _lstm_bptt),
+}
+
+
+def rnn_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
+    """One recurrent direction from a zero state: time-major [T, batch, in] ->
+    [T, batch, hidden].  An ndarray for ndarray operands; one tape node if x or
+    the parameters are Tensors."""
+    cell = RNN_CELLS[kind]
+    operands = [x, p[f"{prefix}.W"], *(p[f"{prefix}.{n}"] for n, _ in cell.u_blocks),
+                p[f"{prefix}.b"]]
+    x_d, w, *us, b = [a.data if isinstance(a, Tensor) else a for a in operands]
+    seq_len, batch, in_dim = x_d.shape
+    if in_dim != w.shape[0]:
+        raise ModelConfigError(f"{prefix}: input width {in_dim} != W rows {w.shape[0]}")
+    hid = us[0].shape[0]
+    act = np.matmul(x_d[:, None], w.reshape(in_dim, -1, hid).transpose(1, 0, 2))
+    act += b.reshape(-1, 1, hid)  # x @ W + b: [T, gates, batch, h]
+    order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    out, saved = cell.scan(act, order, *us)
+    if not any(isinstance(a, Tensor) for a in operands):
+        return out
+
+    def backward(dout):
+        d_act, u_inputs = cell.bptt(dout, act, out, saved, order, reverse, *us)
+        rows = d_act.reshape(seq_len * batch, -1)
+        grads = [(rows @ w.T).reshape(x_d.shape), x_d.reshape(len(rows), in_dim).T @ rows]
+        col = 0
+        for u, u_in in zip(us, u_inputs):
+            grads.append(u_in.reshape(len(rows), hid).T @ rows[:, col:col + u.shape[1]])
+            col += u.shape[1]
+        return (*grads, rows.sum(axis=0))
+
+    return fused_node(out, operands, backward)
+
+
+def bidirectional_forward(x, p: dict, layer_prefix: str, kind: str):
+    """Time-major [T, batch, in] -> [T, batch, 2*hidden], fwd/bwd halves concatenated."""
+    if x.shape[0] < 1:
         raise ModelConfigError("empty sequence")
-    fwd = _run_direction(x, p, f"{layer_prefix}.fwd", hidden, kind, reverse=False)
-    bwd = _run_direction(x, p, f"{layer_prefix}.bwd", hidden, kind, reverse=True)
-    per_step = [concat([fwd[t], bwd[t]], axis=-1) for t in range(x.shape[1])]
-    return stack(per_step, axis=1)
+    return concat([rnn_direction(x, p, f"{layer_prefix}.fwd", kind),
+                   rnn_direction(x, p, f"{layer_prefix}.bwd", kind, reverse=True)], axis=-1)
 
 
 def layer_norm(x, g, b, eps: float = 1e-6):
@@ -264,10 +445,14 @@ def model_forward(config: ModelConfig, p: dict, windows: np.ndarray,
     if config.architecture == "transformer":
         out = linear_forward(_encoder_forward(config, p, x, mask), p["out.W"], p["out.b"])
         return out.reshape(x.shape[0], x.shape[1], config.output_dim)
-    h = linear_forward(x, p["embed.W"], p["embed.b"])
+    # The recurrent stack runs time-major, on rows ordered (step, window).
+    batch, seq_len = x.shape[0], x.shape[1]
+    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(seq_len * batch, -1)
+    h = linear_forward(rows, p["embed.W"], p["embed.b"]).reshape(seq_len, batch, -1)
     for layer in range(config.num_layers):
-        h = bidirectional_forward(h, p, f"rnn{layer}", config.hidden_size, config.architecture)
-    return linear_forward(h, p["out.W"], p["out.b"])
+        h = bidirectional_forward(h, p, f"rnn{layer}", config.architecture)
+    out = linear_forward(h.reshape(seq_len * batch, -1), p["out.W"], p["out.b"])
+    return out.reshape(seq_len, batch, config.output_dim).transpose((1, 0, 2))
 
 
 def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],

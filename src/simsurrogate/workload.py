@@ -109,6 +109,11 @@ class SuiteEntry:
     n_simulations: int
     kind: str  # "train" or "extrapolation"
 
+    def __post_init__(self):
+        if self.n_jobs < 0 or self.n_simulations < 0:
+            raise WorkloadError(f"n_jobs and n_simulations must be nonnegative, got "
+                                f"{self.n_jobs} and {self.n_simulations}")
+
 
 TRAIN_JOB_COUNTS = (1, 10, 20, 50, 100, 250, 500, 1000, 1500, 2000)
 EXTRAPOLATION_JOB_COUNT = 10_000

@@ -1,0 +1,69 @@
+"""Tape-built recurrent reference: the per-gate GRU and LSTM cells, run one
+step at a time on the autodiff tape over slices of the fused parameters.
+Tests hold the hand-written BPTT in `nn.models` to these."""
+
+import numpy as np
+
+from simsurrogate.nn.autodiff import Tensor, concat, sigmoid, stack, tanh
+from simsurrogate.nn.models import RNN_CELLS, linear_forward
+
+
+def rnn_params(rng, prefix, in_dim, hidden, kind, scale=0.4):
+    """Normal per-gate W, U and b, drawn gate by gate, stored fused."""
+    cell = RNN_CELLS[kind]
+    draws = [(rng.normal(0, scale, (in_dim, hidden)), rng.normal(0, scale, (hidden, hidden)),
+              rng.normal(0, scale, hidden)) for _ in cell.gates]
+    w, u, b = (np.concatenate(parts, axis=-1) for parts in zip(*draws))
+    params = {f"{prefix}.W": w, f"{prefix}.b": b}
+    col = 0
+    for name, n_gates in cell.u_blocks:
+        params[f"{prefix}.{name}"] = u[:, col:col + n_gates * hidden].copy()
+        col += n_gates * hidden
+    return params
+
+
+def _gate(m, k: int, hidden: int):
+    return m[..., k * hidden:(k + 1) * hidden]
+
+
+def gru_cell(x_t, h_prev, p: dict, prefix: str, hidden: int):
+    w, b, u_zr, u_h = (p[f"{prefix}.{n}"] for n in ("W", "b", "U_zr", "U_h"))
+    z = sigmoid(x_t @ _gate(w, 0, hidden) + h_prev @ _gate(u_zr, 0, hidden) + _gate(b, 0, hidden))
+    r = sigmoid(x_t @ _gate(w, 1, hidden) + h_prev @ _gate(u_zr, 1, hidden) + _gate(b, 1, hidden))
+    cand = tanh(x_t @ _gate(w, 2, hidden) + (r * h_prev) @ u_h + _gate(b, 2, hidden))
+    return (1.0 - z) * h_prev + z * cand
+
+
+def lstm_cell(x_t, state: tuple, p: dict, prefix: str, hidden: int) -> tuple:
+    h_prev, c_prev = state
+    w, b, u = (p[f"{prefix}.{n}"] for n in ("W", "b", "U"))
+    i, f, o, g = (x_t @ _gate(w, k, hidden) + h_prev @ _gate(u, k, hidden) + _gate(b, k, hidden)
+                  for k in range(4))
+    c_t = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
+    return sigmoid(o) * tanh(c_t), c_t
+
+
+def reference_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
+    """Time-major [T, batch, in] -> [T, batch, hidden], one tape cell per step."""
+    hidden = p[f"{prefix}.b"].shape[0] // len(RNN_CELLS[kind].gates)
+    seq_len, batch = x.shape[0], x.shape[1]
+    h = c = Tensor(np.zeros((batch, hidden)))
+    outputs = [None] * seq_len
+    for t in (range(seq_len - 1, -1, -1) if reverse else range(seq_len)):
+        if kind == "bigru":
+            h = gru_cell(x[t], h, p, prefix, hidden)
+        else:
+            h, c = lstm_cell(x[t], (h, c), p, prefix, hidden)
+        outputs[t] = h
+    return stack(outputs, axis=0)
+
+
+def reference_forward(config, p: dict, windows: np.ndarray):
+    """model_forward for a recurrent config, built from the reference cells."""
+    x = Tensor(np.asarray(windows, dtype=float).transpose(1, 0, 2))
+    h = linear_forward(x, p["embed.W"], p["embed.b"])
+    for layer in range(config.num_layers):
+        h = concat([reference_direction(h, p, f"rnn{layer}.fwd", config.architecture),
+                    reference_direction(h, p, f"rnn{layer}.bwd", config.architecture,
+                                        reverse=True)], axis=-1)
+    return linear_forward(h, p["out.W"], p["out.b"]).transpose((1, 0, 2))

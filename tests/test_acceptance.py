@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from rnn_reference import rnn_params
 
 from simsurrogate.engine import run_simulation
 from simsurrogate.evaluate import default_grid, evaluate_model, kde, predict_rows, r_squared
@@ -18,11 +19,10 @@ from simsurrogate.nn.autodiff import Tensor
 from simsurrogate.nn.models import (
     ModelConfig,
     bidirectional_forward,
-    gru_cell,
     init_params,
-    lstm_cell,
     model_forward,
     multi_head_attention,
+    rnn_direction,
     wrap_params,
 )
 from simsurrogate.platform import LinkSpec, NodeSpec, PlatformSpec, builtin_platform, validate_platform
@@ -227,35 +227,24 @@ def check_grads(loss_fn, params, tol):
         assert err < tol, f"{name}: max relative gradient error {err:.2e}"
 
 
-def rnn_params(rng, prefix, in_dim, hidden, gates):
-    p = {}
-    for g in gates:
-        p[f"{prefix}.W{g}"] = rng.normal(scale=0.4, size=(in_dim, hidden))
-        p[f"{prefix}.U{g}"] = rng.normal(scale=0.4, size=(hidden, hidden))
-        p[f"{prefix}.b{g}"] = rng.normal(scale=0.4, size=(hidden,))
-    return p
-
-
 def test_criterion_4_gradient_suite():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 3))
-    h0 = rng.normal(size=(2, 4))
+    x = rng.normal(size=(3, 2, 3))  # time-major [T, batch, in]
 
     def squared_sum(out):
         return (out * out).sum()
 
-    p = rnn_params(rng, "c", 3, 4, ("z", "r", "h"))
-    check_grads(lambda t: squared_sum(gru_cell(Tensor(x), Tensor(h0), t, "c")), p, 1e-4)
+    p = rnn_params(rng, "c", 3, 4, "bigru")
+    check_grads(lambda t: squared_sum(rnn_direction(Tensor(x), t, "c", "bigru")), p, 1e-4)
 
-    p = rnn_params(rng, "c", 3, 4, ("i", "f", "o", "g"))
-    check_grads(lambda t: squared_sum(
-        lstm_cell(Tensor(x), (Tensor(h0), Tensor(h0)), t, "c")[0]), p, 1e-4)
+    p = rnn_params(rng, "c", 3, 4, "bilstm")
+    check_grads(lambda t: squared_sum(rnn_direction(Tensor(x), t, "c", "bilstm")), p, 1e-4)
 
-    seq = rng.normal(size=(2, 3, 3))
-    p = {**rnn_params(rng, "rnn0.fwd", 3, 4, ("z", "r", "h")),
-         **rnn_params(rng, "rnn0.bwd", 3, 4, ("z", "r", "h"))}
+    seq = rng.normal(size=(3, 2, 3))
+    p = {**rnn_params(rng, "rnn0.fwd", 3, 4, "bigru"),
+         **rnn_params(rng, "rnn0.bwd", 3, 4, "bigru")}
     check_grads(lambda t: squared_sum(
-        bidirectional_forward(Tensor(seq), t, "rnn0", 4, "bigru")), p, 1e-4)
+        bidirectional_forward(Tensor(seq), t, "rnn0", "bigru")), p, 1e-4)
 
     p = {}
     for name in ("q", "k", "v", "o"):

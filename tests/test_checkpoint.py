@@ -32,9 +32,9 @@ def test_round_trip(tmp_path):
 
 def test_dropped_parameter_rejected(tmp_path):
     ckpt = checkpoint()
-    del ckpt.params["rnn0.bwd.Uz"]
+    del ckpt.params["rnn0.bwd.U_zr"]
     save_checkpoint(tmp_path / "c.npz", ckpt)
-    with pytest.raises(TrainingError, match=r"missing \['rnn0.bwd.Uz'\]"):
+    with pytest.raises(TrainingError, match=r"missing \['rnn0.bwd.U_zr'\]"):
         load_checkpoint(tmp_path / "c.npz")
 
 
@@ -71,6 +71,14 @@ def test_config_keys_must_match(tmp_path, edit, match):
     save_checkpoint(tmp_path / "c.npz", checkpoint())
     resave_with_header(tmp_path / "c.npz", edit)
     with pytest.raises(TrainingError, match=match):
+        load_checkpoint(tmp_path / "c.npz")
+
+
+def test_per_gate_version_1_rejected(tmp_path):
+    # version 1 stored one W, U and b per gate; those models must be retrained
+    save_checkpoint(tmp_path / "c.npz", checkpoint())
+    resave_with_header(tmp_path / "c.npz", lambda h: h.update(version=1))
+    with pytest.raises(TrainingError, match="unsupported checkpoint version 1"):
         load_checkpoint(tmp_path / "c.npz")
 
 

@@ -125,6 +125,34 @@ class TestErrorPaths:
         assert "unknown scenario 'galactic'" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sims_per_batch", "two"), ("sims_per_batch", True), ("job_counts", [20, 1.5]),
+        ("include_extrapolation", 1), ("learning_rate", "fast"), ("scenario", 3),
+    ])
+    def test_mistyped_manifest_value_rejected_before_writing(self, tmp_path, key, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({key: value, "out": str(tmp_path / "out")}))
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
+        assert result.exit_code == 1
+        assert f"manifest values of the wrong type: {key}=" in result.output
+        assert not isinstance(result.exception, TypeError)
+        assert not (tmp_path / "out").exists()
+
+    def test_well_typed_manifest_values_accepted(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"learning_rate": 1, "job_counts": [], "arch": "bilstm",
+                                    "include_extrapolation": False}))
+        man = resolve_manifest(str(path))
+        assert man.learning_rate == 1 and man.job_counts == [] and man.arch == "bilstm"
+
+    def test_negative_job_count_exits_3_before_writing(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"job_counts": [-5], "out": str(tmp_path / "out")}))
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
+        assert result.exit_code == 3
+        assert "must be nonnegative" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

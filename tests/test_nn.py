@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from rnn_reference import gru_cell, reference_direction, reference_forward, rnn_params
 
 from simsurrogate.errors import ModelConfigError
 from simsurrogate.evaluate import predict_rows
@@ -9,13 +11,12 @@ from simsurrogate.nn.autodiff import Tensor, concat, softmax, stack
 from simsurrogate.nn.models import (
     ModelConfig,
     bidirectional_forward,
-    gru_cell,
     init_params,
     linear_forward,
-    lstm_cell,
     model_forward,
     model_forward_infer,
     multi_head_attention,
+    rnn_direction,
     sinusoidal_encoding,
     wrap_params,
 )
@@ -26,6 +27,7 @@ from simsurrogate.preprocess import (
     unwindow_aligned,
 )
 from simsurrogate.traceio import SampleTable
+from simsurrogate.train import mse_loss
 
 
 def numeric_grad(fn, params, name, step=1e-3):
@@ -68,15 +70,6 @@ def check_grads(loss_fn, params, tol):
     return worst
 
 
-def rnn_params(rng, prefix, in_dim, hidden, gates):
-    params = {}
-    for g in gates:
-        params[f"{prefix}.W{g}"] = rng.normal(0, 0.4, (in_dim, hidden))
-        params[f"{prefix}.U{g}"] = rng.normal(0, 0.4, (hidden, hidden))
-        params[f"{prefix}.b{g}"] = rng.normal(0, 0.4, hidden)
-    return params
-
-
 class TestLinear:
     def test_zero_input_gives_bias(self):
         w = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
@@ -103,120 +96,172 @@ class TestLinear:
                            Tensor(np.zeros(2)))
 
 
+def sequence(rng, seq_len=3, batch=2, in_dim=4):
+    """A time-major input [T, batch, in]."""
+    return rng.normal(size=(seq_len, batch, in_dim))
+
+
 class TestGruCell:
     def test_zero_params_halve_state(self):
+        # z = r = 1/2: each step keeps half the state and adds half the
+        # candidate, which sees only x
         rng = np.random.default_rng(0)
-        params = {k: np.zeros_like(v)
-                  for k, v in rnn_params(rng, "c", 4, 3, ("z", "r", "h")).items()}
-        h_prev = rng.normal(size=(2, 3))
-        h = gru_cell(Tensor(rng.normal(size=(2, 4))), Tensor(h_prev),
-                     wrap_params(params), "c")
-        np.testing.assert_allclose(h.data, 0.5 * h_prev, rtol=1e-12)
+        params = {k: np.zeros_like(v) for k, v in rnn_params(rng, "c", 4, 3, "bigru").items()}
+        w_h = rng.normal(size=(4, 3))
+        params["c.W"][:, 6:] = w_h
+        x = sequence(rng)
+        h = rnn_direction(Tensor(x), wrap_params(params), "c", "bigru")
+        expected = np.zeros((2, 3))
+        for t in range(3):
+            expected = 0.5 * expected + 0.5 * np.tanh(x[t] @ w_h)
+            np.testing.assert_allclose(h.data[t], expected, rtol=1e-12)
 
     def test_zero_state_zero_candidate(self):
         rng = np.random.default_rng(1)
-        params = rnn_params(rng, "c", 4, 3, ("z", "r", "h"))
-        params["c.Wh"][:] = 0
-        params["c.Uh"][:] = 0
-        params["c.bh"][:] = 0
-        h = gru_cell(Tensor(rng.normal(size=(2, 4))), Tensor(np.zeros((2, 3))),
-                     wrap_params(params), "c")
+        params = rnn_params(rng, "c", 4, 3, "bigru")
+        params["c.W"][:, 6:] = 0
+        params["c.U_h"][:] = 0
+        params["c.b"][6:] = 0
+        h = rnn_direction(Tensor(sequence(rng)), wrap_params(params), "c", "bigru")
         np.testing.assert_allclose(h.data, 0.0, atol=1e-15)
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
-        params = rnn_params(rng, "c", 3, 4, ("z", "r", "h"))
-        x = rng.normal(size=(2, 3))
-        h0 = rng.normal(size=(2, 4))
-        weights = rng.normal(size=(2, 4))
+        params = rnn_params(rng, "c", 3, 4, "bigru")
+        x = sequence(rng, in_dim=3)
+        weights = rng.normal(size=(3, 2, 4))
 
         def loss(t):
-            return (gru_cell(Tensor(x), Tensor(h0), t, "c") * Tensor(weights)).sum()
+            return (rnn_direction(Tensor(x), t, "c", "bigru") * Tensor(weights)).sum()
 
         assert check_grads(loss, params, 1e-4) < 1e-4
 
 
 class TestLstmCell:
     def test_zero_params(self):
+        # i = f = o = 1/2: c_t = (c_{t-1} + g_t) / 2 and h_t = tanh(c_t) / 2
         rng = np.random.default_rng(0)
-        params = {k: np.zeros_like(v)
-                  for k, v in rnn_params(rng, "c", 4, 3, ("i", "f", "o", "g")).items()}
-        c_prev = rng.normal(size=(2, 3))
-        h, c = lstm_cell(Tensor(rng.normal(size=(2, 4))),
-                         (Tensor(np.zeros((2, 3))), Tensor(c_prev)),
-                         wrap_params(params), "c")
-        np.testing.assert_allclose(c.data, 0.5 * c_prev, rtol=1e-12)
-        np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), rtol=1e-12)
+        params = {k: np.zeros_like(v) for k, v in rnn_params(rng, "c", 4, 3, "bilstm").items()}
+        w_g = rng.normal(size=(4, 3))
+        params["c.W"][:, 9:] = w_g
+        x = sequence(rng)
+        h = rnn_direction(Tensor(x), wrap_params(params), "c", "bilstm")
+        c = np.zeros((2, 3))
+        for t in range(3):
+            c = 0.5 * c + 0.5 * np.tanh(x[t] @ w_g)
+            np.testing.assert_allclose(h.data[t], 0.5 * np.tanh(c), rtol=1e-12)
 
     def test_zero_cell_and_candidate(self):
         rng = np.random.default_rng(1)
-        params = rnn_params(rng, "c", 4, 3, ("i", "f", "o", "g"))
-        for k in ("Wg", "Ug", "bg"):
-            params[f"c.{k}"][:] = 0
-        h, c = lstm_cell(Tensor(rng.normal(size=(2, 4))),
-                         (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))),
-                         wrap_params(params), "c")
-        np.testing.assert_allclose(c.data, 0.0, atol=1e-15)
+        params = rnn_params(rng, "c", 4, 3, "bilstm")
+        params["c.W"][:, 9:] = 0
+        params["c.U"][:, 9:] = 0
+        params["c.b"][9:] = 0
+        h = rnn_direction(Tensor(sequence(rng)), wrap_params(params), "c", "bilstm")
         np.testing.assert_allclose(h.data, 0.0, atol=1e-15)
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
-        params = rnn_params(rng, "c", 3, 4, ("i", "f", "o", "g"))
-        x = rng.normal(size=(2, 3))
-        h0 = rng.normal(size=(2, 4))
-        c0 = rng.normal(size=(2, 4))
-        weights = rng.normal(size=(2, 4))
+        params = rnn_params(rng, "c", 3, 4, "bilstm")
+        x = sequence(rng, in_dim=3)
+        weights = rng.normal(size=(3, 2, 4))
 
         def loss(t):
-            h, c = lstm_cell(Tensor(x), (Tensor(h0), Tensor(c0)), t, "c")
-            return (h * Tensor(weights)).sum() + (c * Tensor(weights)).sum()
+            return (rnn_direction(Tensor(x), t, "c", "bilstm", reverse=True)
+                    * Tensor(weights)).sum()
 
         assert check_grads(loss, params, 1e-4) < 1e-4
 
 
 class TestBidirectional:
     def make_params(self, rng, in_dim, hidden, kind="bigru"):
-        gates = ("z", "r", "h") if kind == "bigru" else ("i", "f", "o", "g")
-        p = rnn_params(rng, "rnn0.fwd", in_dim, hidden, gates)
-        p.update(rnn_params(rng, "rnn0.bwd", in_dim, hidden, gates))
+        p = rnn_params(rng, "rnn0.fwd", in_dim, hidden, kind)
+        p.update(rnn_params(rng, "rnn0.bwd", in_dim, hidden, kind))
         return p
 
     def test_t1_is_concat_of_single_steps(self):
         rng = np.random.default_rng(0)
         p = self.make_params(rng, 3, 4)
-        x = rng.normal(size=(2, 1, 3))
-        out = bidirectional_forward(Tensor(x), wrap_params(p), "rnn0", 4, "bigru")
+        x = rng.normal(size=(1, 2, 3))
+        out = bidirectional_forward(Tensor(x), wrap_params(p), "rnn0", "bigru")
         t = wrap_params(p)
-        fwd = gru_cell(Tensor(x[:, 0]), Tensor(np.zeros((2, 4))), t, "rnn0.fwd")
-        bwd = gru_cell(Tensor(x[:, 0]), Tensor(np.zeros((2, 4))), t, "rnn0.bwd")
-        np.testing.assert_allclose(out.data[:, 0, :4], fwd.data)
-        np.testing.assert_allclose(out.data[:, 0, 4:], bwd.data)
+        fwd = gru_cell(Tensor(x[0]), Tensor(np.zeros((2, 4))), t, "rnn0.fwd", 4)
+        bwd = gru_cell(Tensor(x[0]), Tensor(np.zeros((2, 4))), t, "rnn0.bwd", 4)
+        np.testing.assert_allclose(out.data[0, :, :4], fwd.data)
+        np.testing.assert_allclose(out.data[0, :, 4:], bwd.data)
 
     def test_palindrome_symmetry(self):
         # with identical fwd/bwd params, a palindromic sequence gives
         # mirror-symmetric outputs with halves swapped
         rng = np.random.default_rng(1)
-        gates = ("z", "r", "h")
-        p = rnn_params(rng, "rnn0.fwd", 3, 4, gates)
+        p = rnn_params(rng, "rnn0.fwd", 3, 4, "bigru")
         p.update({k.replace(".fwd", ".bwd"): v.copy() for k, v in p.items()})
         row = rng.normal(size=(1, 3))
-        x = np.stack([row, 2 * row, row], axis=1)  # palindrome over T=3
-        out = bidirectional_forward(Tensor(x), wrap_params(p), "rnn0", 4, "bigru").data
+        x = np.stack([row, 2 * row, row], axis=0)  # palindrome over T=3
+        out = bidirectional_forward(Tensor(x), wrap_params(p), "rnn0", "bigru").data
         for t in range(3):
-            np.testing.assert_allclose(out[:, t, :4], out[:, 2 - t, 4:], rtol=1e-10)
+            np.testing.assert_allclose(out[t, :, :4], out[2 - t, :, 4:], rtol=1e-10)
 
     @pytest.mark.parametrize("kind", ["bigru", "bilstm"])
     def test_gradients(self, kind):
         rng = np.random.default_rng(2)
         p = self.make_params(rng, 3, 3, kind)
-        x = rng.normal(size=(2, 3, 3))
-        weights = rng.normal(size=(2, 3, 6))
+        x = sequence(rng, in_dim=3)
+        weights = rng.normal(size=(3, 2, 6))
 
         def loss(t):
-            return (bidirectional_forward(Tensor(x), t, "rnn0", 3, kind)
+            return (bidirectional_forward(Tensor(x), t, "rnn0", kind)
                     * Tensor(weights)).sum()
 
         assert check_grads(loss, p, 1e-4) < 1e-4
+
+
+def max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+class TestBpttMatchesReferenceCells:
+    """The hand-written BPTT against the per-gate cells on the tape."""
+
+    @pytest.mark.parametrize("kind", ["bigru", "bilstm"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("seq_len, batch", [(5, 3), (4, 1), (1, 2)],
+                             ids=["batch3", "batch1", "t1"])
+    def test_direction(self, kind, reverse, seq_len, batch):
+        rng = np.random.default_rng(seq_len * 10 + batch)
+        params = rnn_params(rng, "c", 3, 4, kind)
+        x = rng.normal(size=(seq_len, batch, 3))
+        weights = rng.normal(size=(seq_len, batch, 4))
+        grads = {}
+        for name, direction in (("fused", rnn_direction), ("reference", reference_direction)):
+            p = wrap_params(params)
+            xt = Tensor(x, requires_grad=True)
+            out = direction(xt, p, "c", kind, reverse=reverse)
+            (out * weights).sum().backward()
+            grads[name] = {"x": xt.grad, "out": out.data, **{k: t.grad for k, t in p.items()}}
+        for key, want in grads["reference"].items():
+            err = max_relative_error(grads["fused"][key], want)
+            assert err <= 1e-12, f"{key}: relative error {err:.1e}"
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm"])
+    def test_two_layers_masked_loss(self, arch):
+        config = tiny_config(arch, num_layers=2, window_size=5, seed=3)
+        params = init_params(config)
+        rng = np.random.default_rng(11)
+        windows = rng.normal(size=(3, 5, 3))
+        targets = rng.normal(size=(3, 5, 2))
+        mask = np.ones((3, 5), dtype=bool)
+        mask[1, 3:] = False
+        mask[2, 1:] = False
+        grads = {}
+        for name, forward in (("fused", lambda t: model_forward(config, t, windows, mask)),
+                              ("reference", lambda t: reference_forward(config, t, windows))):
+            tensors = wrap_params(params)
+            mse_loss(forward(tensors), targets, mask).backward()
+            grads[name] = {k: t.grad for k, t in tensors.items()}
+        for key, want in grads["reference"].items():
+            err = max_relative_error(grads["fused"][key], want)
+            assert err <= 1e-12, f"{key}: relative error {err:.1e}"
 
 
 def attention_params(rng, d):
@@ -370,6 +415,22 @@ class TestConfigValidation:
         b = init_params(config)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize("arch, digest", [
+        ("bigru", "328237adb314bd7daaf96929496e19336b0f4399a41f532b59284029e606f334"),
+        ("bilstm", "1373824d4b6e10ce2d64801ca6b6296606fcf2ff8750e644001fcd2646ec3716"),
+    ])
+    def test_fused_init_is_the_per_gate_draws_joined(self, arch, digest):
+        """Each fused array is the per-gate arrays the per-gate layout drew,
+        in the same order, joined along the gate axis.  The digests were
+        computed from that layout's init_params."""
+        config = ModelConfig(arch, input_dim=5, output_dim=2, hidden_size=6,
+                             num_layers=2, seed=3)
+        sha = hashlib.sha256()
+        for name, value in sorted(init_params(config).items()):
+            sha.update(name.encode("utf-8"))
+            sha.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
 
 
 def test_sinusoidal_encoding_shape_and_range():
