@@ -5,18 +5,17 @@ On the heterogeneous platform the surrogate learns compute time well but the
 contention-dominated transfer times poorly; on the homogeneous platform
 (identical jobs, no usable features) compute R-squared collapses.  This script
 reproduces that contrast for a list of seeds and prints one table per seed,
-plus the simulator/surrogate speedup at a large job count.
+plus the simulator/surrogate speedup at a large job count, both sides timed as
+`simsurrogate bench` times them.
 
 Usage:
     python scripts/compare_scenarios.py --seeds 0,1,2 --epochs 30
 """
 
-import time
-
 import click
 
 from simsurrogate.engine import run_simulation
-from simsurrogate.evaluate import evaluate_model, predict_rows
+from simsurrogate.evaluate import evaluate_model, predict_rows, time_call
 from simsurrogate.nn.models import ModelConfig
 from simsurrogate.platform import builtin_platform
 from simsurrogate.preprocess import (
@@ -28,6 +27,9 @@ from simsurrogate.preprocess import (
 from simsurrogate.traceio import SampleTable, feature_names, join_traces, workload_rows
 from simsurrogate.train import TrainConfig, train_model
 from simsurrogate.workload import TRAIN_JOB_COUNTS, generate_workload
+
+# Timed calls per side of the speedup line, after one warm-up call each.
+SPEEDUP_REPEATS = 3
 
 
 def simulate_table(scenario, platform, n_jobs, sim_id, seed):
@@ -91,11 +93,11 @@ def run(seeds, epochs, hidden, window, speedup_jobs):
 
     config, params, f_std, t_std = speedup_model
     jobs, datasets = generate_workload("heterogeneous", speedup_jobs, 0, seed_list[0])
-    t0 = time.perf_counter()
-    traces = run_simulation(het_platform, jobs, datasets)
-    sim_s = time.perf_counter() - t0
+    traces, sim_s = time_call(lambda: run_simulation(het_platform, jobs, datasets),
+                              SPEEDUP_REPEATS)
     table = join_traces("heterogeneous", workload_rows(jobs, datasets), traces)
-    _, sur_s = predict_rows(config, params, table, f_std, t_std)
+    _, sur_s = time_call(lambda: predict_rows(config, params, table, f_std, t_std),
+                         SPEEDUP_REPEATS)
     click.echo(f"\nspeedup at {speedup_jobs} jobs: simulator {sim_s:.2f}s, "
                f"surrogate {sur_s:.3f}s, ratio {sim_s / sur_s:.1f}x")
 

@@ -3,15 +3,13 @@
 __version__ = "0.1.0"
 
 from .platform import builtin_platform, parse_platform, serialize_platform
-from .workload import generate_workload, scenario_suite
-from .engine import run_simulation, bench_simulation
+from .workload import generate_workload
+from .engine import run_simulation
 
 __all__ = [
     "builtin_platform",
     "parse_platform",
     "serialize_platform",
     "generate_workload",
-    "scenario_suite",
     "run_simulation",
-    "bench_simulation",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .engine import bench_simulation, run_simulation
+from .engine import run_simulation
 from .errors import (
     EvalError,
     JoinError,
@@ -33,7 +33,7 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluate import evaluate_model, predict_rows, speedup_report, write_report, write_speedup_csv
+from .evaluate import evaluate_model, predict_rows, time_call, write_report, write_speedup_csv
 from .nn.models import ARCHITECTURES, ModelConfig
 from .platform import builtin_platform
 from .preprocess import (
@@ -64,6 +64,7 @@ from .workload import (
     EXTRAPOLATION_SIMULATIONS,
     TRAIN_JOB_COUNTS,
     DEFAULT_JOB_CLASSES,
+    JobClassSpec,
     SuiteEntry,
     generate_workload,
     load_job_classes,
@@ -182,9 +183,12 @@ def _suite(man: ExperimentManifest) -> list[SuiteEntry]:
     return suite
 
 
+def _job_classes(man: ExperimentManifest) -> tuple[JobClassSpec, ...]:
+    return load_job_classes(man.job_classes) if man.job_classes else DEFAULT_JOB_CLASSES
+
+
 def _simulate_one(args) -> None:
-    scenario, sim_id, n_jobs, seed, sim_dir, classes_path = args
-    classes = load_job_classes(classes_path) if classes_path else DEFAULT_JOB_CLASSES
+    scenario, sim_id, n_jobs, seed, sim_dir, classes = args
     platform = builtin_platform(scenario)
     jobs, datasets = generate_workload(scenario, n_jobs, sim_id, seed, classes)
     traces = run_simulation(platform, jobs, datasets)
@@ -248,16 +252,11 @@ def simulate(manifest_path, job_classes, **flags):
     """Generate workloads and run the simulator over the scenario suite."""
     man = resolve_manifest(manifest_path, job_classes=job_classes, **flags)
     base = _scenario_dir(man)
-    sims = []
-    tasks = []
-    sim_id = 0
-    for entry in _suite(man):
-        for _ in range(entry.n_simulations):
-            sims.append({"simulation_id": sim_id, "n_jobs": entry.n_jobs,
-                         "kind": entry.kind})
-            tasks.append((man.scenario, sim_id, entry.n_jobs, man.seed,
-                          base / f"sim_{sim_id}", man.job_classes or None))
-            sim_id += 1
+    classes = _job_classes(man)
+    runs = [(e.n_jobs, e.kind) for e in _suite(man) for _ in range(e.n_simulations)]
+    sims = [{"simulation_id": i, "n_jobs": n, "kind": kind} for i, (n, kind) in enumerate(runs)]
+    tasks = [(man.scenario, i, n, man.seed, base / f"sim_{i}", classes)
+             for i, (n, _) in enumerate(runs)]
     workers = pool_size(man.jobs, len(tasks), os.cpu_count())
     base.mkdir(parents=True, exist_ok=True)
     if workers > 1:
@@ -300,15 +299,14 @@ def preprocess(manifest_path, **flags):
     train_sims = [s for s in sims if s["kind"] == "train"]
     split = split_train_eval({s["simulation_id"]: s["n_jobs"] for s in train_sims},
                              man.train_fraction, man.seed)
-    train_table = SampleTable.concat([_load_sim_table(man, sid) for sid in split.train_ids])
-    write_samples_csv(outdir / "train_samples.csv", train_table)
-    if split.eval_ids:
-        eval_table = SampleTable.concat([_load_sim_table(man, sid) for sid in split.eval_ids])
-        write_samples_csv(outdir / "eval_samples.csv", eval_table)
     extra = [s["simulation_id"] for s in sims if s["kind"] == "extrapolation"]
-    if extra:
-        extra_table = SampleTable.concat([_load_sim_table(man, sid) for sid in extra])
-        write_samples_csv(outdir / "extrapolation_samples.csv", extra_table)
+    tables = {}
+    for name, ids in (("train", split.train_ids), ("eval", split.eval_ids),
+                      ("extrapolation", extra)):
+        if ids or name == "train":
+            tables[name] = SampleTable.concat([_load_sim_table(man, sid) for sid in ids])
+            write_samples_csv(outdir / f"{name}_samples.csv", tables[name])
+    train_table = tables["train"]
 
     (outdir / "split.json").write_text(split.to_json(), encoding="utf-8")
     f_std = fit_standardizer(train_table.features, names=train_table.feature_names)
@@ -320,14 +318,35 @@ def preprocess(manifest_path, **flags):
                f"({len(split.train_ids)} train / {len(split.eval_ids)} eval)")
 
 
+def _eval_samples(pre: Path) -> Path:
+    """Eval samples, or the training samples when the split left no eval simulation."""
+    path = pre / "eval_samples.csv"
+    return path if path.exists() else _require(pre / "train_samples.csv", "preprocess")
+
+
 def _load_preprocessed(man: ExperimentManifest):
+    """Standardized train and eval samples plus their standardizers."""
     pre = _scenario_dir(man) / "preprocess"
-    train_table = read_samples_csv(_require(pre / "train_samples.csv", "preprocess"))
-    eval_path = pre / "eval_samples.csv"
-    eval_table = read_samples_csv(eval_path) if eval_path.exists() else train_table
+    train_path = _require(pre / "train_samples.csv", "preprocess")
+    train_table = read_samples_csv(train_path)
+    eval_path = _eval_samples(pre)
+    eval_table = train_table if eval_path == train_path else read_samples_csv(eval_path)
     f_std = Standardizer.from_json((pre / "feature_std.json").read_text(encoding="utf-8"))
     t_std = Standardizer.from_json((pre / "target_std.json").read_text(encoding="utf-8"))
-    return train_table, eval_table, f_std, t_std
+    return (standardize_table(train_table, f_std, t_std),
+            standardize_table(eval_table, f_std, t_std), f_std, t_std)
+
+
+def _fit(man: ExperimentManifest, config: ModelConfig, scaled_train: SampleTable,
+         scaled_eval: SampleTable, max_epochs: int):
+    """Window both sample sets and train on them; returns params, history, eval windows."""
+    train_batch = make_windows(scaled_train, config.window_size, config.window_overlap)
+    eval_batch = make_windows(scaled_eval, config.window_size, config.window_overlap)
+    params, history = train_model(
+        TrainConfig(model=config, learning_rate=man.learning_rate, max_epochs=max_epochs,
+                    patience=man.patience, seed=man.seed),
+        train_batch, eval_batch)
+    return params, history, eval_batch
 
 
 def _model_config(man: ExperimentManifest) -> ModelConfig:
@@ -353,16 +372,9 @@ def _model_config(man: ExperimentManifest) -> ModelConfig:
 def train(manifest_path, epochs, num_heads, **flags):
     """Train one surrogate on the preprocessed samples; saves a checkpoint."""
     man = resolve_manifest(manifest_path, max_epochs=epochs, num_heads=num_heads, **flags)
-    train_table, eval_table, f_std, t_std = _load_preprocessed(man)
+    scaled_train, scaled_eval, f_std, t_std = _load_preprocessed(man)
     config = _model_config(man)
-    train_batch = make_windows(standardize_table(train_table, f_std, t_std),
-                               config.window_size, config.window_overlap)
-    eval_batch = make_windows(standardize_table(eval_table, f_std, t_std),
-                              config.window_size, config.window_overlap)
-    params, history = train_model(
-        TrainConfig(model=config, learning_rate=man.learning_rate,
-                    max_epochs=man.max_epochs, patience=man.patience, seed=man.seed),
-        train_batch, eval_batch)
+    params, history, _ = _fit(man, config, scaled_train, scaled_eval, man.max_epochs)
 
     outdir = _scenario_dir(man) / "model"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -386,18 +398,11 @@ def train(manifest_path, epochs, num_heads, **flags):
 def tune(manifest_path, epochs, **flags):
     """Two-stage hyperparameter search; writes an audit log and best config."""
     man = resolve_manifest(manifest_path, tune_max_epochs=epochs, **flags)
-    train_table, eval_table, f_std, t_std = _load_preprocessed(man)
-    scaled_train = standardize_table(train_table, f_std, t_std)
-    scaled_eval = standardize_table(eval_table, f_std, t_std)
+    scaled_train, scaled_eval, _, _ = _load_preprocessed(man)
 
     def train_fn(config: ModelConfig) -> float:
-        train_batch = make_windows(scaled_train, config.window_size, config.window_overlap)
-        eval_batch = make_windows(scaled_eval, config.window_size, config.window_overlap)
-        params, _ = train_model(
-            TrainConfig(model=config, learning_rate=man.learning_rate,
-                        max_epochs=man.tune_max_epochs, patience=man.patience,
-                        seed=man.seed),
-            train_batch, eval_batch)
+        params, _, eval_batch = _fit(man, config, scaled_train, scaled_eval,
+                                     man.tune_max_epochs)
         return evaluate_loss(config, params, eval_batch)
 
     space = SearchSpace(
@@ -428,28 +433,20 @@ def tune(manifest_path, epochs, **flags):
 def evaluate(manifest_path, **flags):
     """Score the trained surrogate: R-squared and KDE curves per observable."""
     man = resolve_manifest(manifest_path, **flags)
-    ckpt_path = _require(_scenario_dir(man) / "model" / "checkpoint.npz", "train")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = load_checkpoint(_require(_scenario_dir(man) / "model" / "checkpoint.npz", "train"))
     pre = _scenario_dir(man) / "preprocess"
-    eval_path = pre / "eval_samples.csv"
-    table = read_samples_csv(_require(
-        eval_path if eval_path.exists() else pre / "train_samples.csv", "preprocess"))
-    report = evaluate_model(ckpt.config, ckpt.params, table,
-                            ckpt.feature_std, ckpt.target_std, seed=man.seed)
     outdir = _scenario_dir(man) / "eval"
-    write_report(outdir, report)
+    scored = [("", _eval_samples(pre), outdir)]
+    if (pre / "extrapolation_samples.csv").exists():
+        scored.append(("extrapolation ", pre / "extrapolation_samples.csv",
+                       outdir / "extrapolation"))
+    for label, path, report_dir in scored:
+        report = evaluate_model(ckpt.config, ckpt.params, read_samples_csv(path),
+                                ckpt.feature_std, ckpt.target_std, seed=man.seed)
+        write_report(report_dir, report)
+        for name, value in report.r2.items():
+            click.echo(f"{label}r2[{name}] = {value:.4f}")
     _write_meta(outdir, "evaluate", man)
-    for name, value in report.r2.items():
-        click.echo(f"r2[{name}] = {value:.4f}")
-
-    extra_path = pre / "extrapolation_samples.csv"
-    if extra_path.exists():
-        extra = read_samples_csv(extra_path)
-        extra_report = evaluate_model(ckpt.config, ckpt.params, extra,
-                                      ckpt.feature_std, ckpt.target_std, seed=man.seed)
-        write_report(outdir / "extrapolation", extra_report)
-        for name, value in extra_report.r2.items():
-            click.echo(f"extrapolation r2[{name}] = {value:.4f}")
 
 
 @main.command()
@@ -459,22 +456,26 @@ def evaluate(manifest_path, **flags):
 def bench(manifest_path, repeats, **flags):
     """Time simulator vs surrogate on each suite size; writes speedup.csv."""
     man = resolve_manifest(manifest_path, bench_repeats=repeats, **flags)
+    if man.bench_repeats < 1:
+        raise click.UsageError(f"--repeats must be at least 1, got {man.bench_repeats}")
+    sizes = sorted({e.n_jobs for e in _suite(man)})
+    if not sizes:
+        raise SimulationError("bench suite must be nonempty")
     ckpt = load_checkpoint(_require(_scenario_dir(man) / "model" / "checkpoint.npz",
                                     "train"))
-    sizes = sorted({e.n_jobs for e in _suite(man)})
+    classes = _job_classes(man)
     platform = builtin_platform(man.scenario)
-    entries = [SuiteEntry(n, 1, "bench") for n in sizes]
-    sim_rows = bench_simulation(platform, man.scenario, entries, man.seed,
-                                repeats=man.bench_repeats)
-    sur_rows = []
+    rows = []
     for n in sizes:
-        jobs, datasets = generate_workload(man.scenario, n, 0, man.seed)
-        traces = run_simulation(platform, jobs, datasets)
+        jobs, datasets = generate_workload(man.scenario, n, 0, man.seed, classes)
+        traces, sim_s = time_call(lambda: run_simulation(platform, jobs, datasets),
+                                  man.bench_repeats)
         table = join_traces(man.scenario, workload_rows(jobs, datasets), traces)
-        _, seconds = predict_rows(ckpt.config, ckpt.params, table,
-                                  ckpt.feature_std, ckpt.target_std)
-        sur_rows.append({"scenario": man.scenario, "n_jobs": n, "seconds": seconds})
-    rows = speedup_report(sim_rows, sur_rows)
+        _, sur_s = time_call(lambda: predict_rows(ckpt.config, ckpt.params, table,
+                                                  ckpt.feature_std, ckpt.target_std),
+                             man.bench_repeats)
+        rows.append({"scenario": man.scenario, "n_jobs": n, "simulator_seconds": sim_s,
+                     "surrogate_seconds": sur_s, "speedup": sim_s / sur_s})
     outdir = _scenario_dir(man) / "bench"
     outdir.mkdir(parents=True, exist_ok=True)
     write_speedup_csv(outdir / "speedup.csv", rows)

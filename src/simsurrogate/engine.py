@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import time as _time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SimulationError
 from .platform import PlatformSpec
-from .workload import DatasetSpec, JobSpec, SuiteEntry, generate_workload
+from .workload import DatasetSpec, JobSpec
 
 # Event kinds in tie-break order.
 EV_SUBMIT = 0
@@ -47,19 +46,7 @@ class TraceRecord:
     worker_id: str
 
 
-TRACE_FIELDS = (
-    "simulation_id",
-    "job_index",
-    "submission_time_s",
-    "start_time_s",
-    "end_time_s",
-    "compute_time_s",
-    "input_files_transfer_time_s",
-    "output_files_transfer_time_s",
-    "input_bytes",
-    "output_bytes",
-    "worker_id",
-)
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
 
 
 class _Transfer:
@@ -88,7 +75,7 @@ class _RouteFlow:
 
 class _JobState:
     __slots__ = (
-        "spec", "worker", "start", "input_started", "input_time",
+        "spec", "worker", "start", "input_time",
         "compute_time", "output_started", "output_time", "files_left",
         "input_bytes",
     )
@@ -97,7 +84,6 @@ class _JobState:
         self.spec = spec
         self.worker = None
         self.start = 0.0
-        self.input_started = 0.0
         self.input_time = 0.0
         self.compute_time = 0.0
         self.output_started = 0.0
@@ -219,7 +205,6 @@ class _Simulation:
             self.free_cores[best] -= 1
             job.worker = best
             job.start = self.now
-            job.input_started = self.now
             self._next_input(job)
 
     def _next_input(self, job: _JobState) -> None:
@@ -236,7 +221,7 @@ class _Simulation:
         self._next_input(job)
 
     def _input_phase_over(self, job: _JobState) -> None:
-        job.input_time = self.now - job.input_started
+        job.input_time = self.now - job.start
         speed = self.nodes[job.worker].core_speed_flops
         job.compute_time = job.spec.flops / speed
         self._push(self.now + job.compute_time, EV_COMPUTE_DONE,
@@ -335,25 +320,3 @@ def run_simulation(platform: PlatformSpec, jobs: list[JobSpec],
     """Execute a workload, returning one TraceRecord per job in index order."""
     return _Simulation(platform, jobs, datasets, audit).run()
 
-
-def bench_simulation(platform: PlatformSpec, scenario: str,
-                     suite: list[SuiteEntry], seed: int,
-                     repeats: int = 1) -> list[dict]:
-    """Measure wall-clock per suite entry (median over `repeats` runs)."""
-    if not suite:
-        raise SimulationError("bench suite must be nonempty")
-    rows = []
-    for entry in suite:
-        jobs, datasets = generate_workload(scenario, entry.n_jobs, 0, seed)
-        samples = []
-        for _ in range(max(1, repeats)):
-            t0 = _time.perf_counter()
-            run_simulation(platform, jobs, datasets)
-            samples.append(_time.perf_counter() - t0)
-        samples.sort()
-        rows.append({
-            "scenario": scenario,
-            "n_jobs": entry.n_jobs,
-            "seconds": samples[len(samples) // 2],
-        })
-    return rows

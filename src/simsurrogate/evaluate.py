@@ -1,9 +1,10 @@
-"""Prediction quality metrics (R-squared, Gaussian KDE) and runtime reports."""
+"""Prediction quality metrics (R-squared, Gaussian KDE), timing and reports."""
 
 from __future__ import annotations
 
 import csv
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,6 +100,20 @@ def predict_rows(config: ModelConfig, params: dict[str, np.ndarray],
     return out, time.perf_counter() - t0
 
 
+def time_call(fn, repeats: int):
+    """One untimed warm-up call of `fn`, then the median wall-clock seconds of
+    `repeats` timed calls, returned with the last call's result."""
+    if repeats < 1:
+        raise EvalError(f"repeats must be at least 1, got {repeats}")
+    fn()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        samples.append(time.perf_counter() - t0)
+    return out, statistics.median(samples)
+
+
 def evaluate_model(config: ModelConfig, params: dict[str, np.ndarray],
                    table: SampleTable, feature_std: Standardizer,
                    target_std: Standardizer, seed: int = 0) -> EvalReport:
@@ -124,27 +139,6 @@ def evaluate_model(config: ModelConfig, params: dict[str, np.ndarray],
         config=config.to_dict(),
         seed=seed,
     )
-
-
-def speedup_report(sim_rows: list[dict], surrogate_rows: list[dict]) -> list[dict]:
-    """Merge simulator and surrogate timings keyed by (scenario, n_jobs)."""
-    if not sim_rows or not surrogate_rows:
-        raise EvalError("both timing sets must be nonempty")
-    sim = {(r["scenario"], int(r["n_jobs"])): float(r["seconds"]) for r in sim_rows}
-    sur = {(r["scenario"], int(r["n_jobs"])): float(r["seconds"]) for r in surrogate_rows}
-    missing = sorted(set(sim) ^ set(sur))
-    if missing:
-        raise EvalError(f"timing key mismatch: {missing[:10]}")
-    return [
-        {
-            "scenario": scenario,
-            "n_jobs": n_jobs,
-            "simulator_seconds": sim[(scenario, n_jobs)],
-            "surrogate_seconds": sur[(scenario, n_jobs)],
-            "speedup": sim[(scenario, n_jobs)] / sur[(scenario, n_jobs)],
-        }
-        for (scenario, n_jobs) in sorted(sim)
-    ]
 
 
 def write_report(outdir: str | Path, report: EvalReport) -> None:

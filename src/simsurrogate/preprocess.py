@@ -137,20 +137,6 @@ def make_windows(table: SampleTable, window_size: int, overlap: int) -> WindowBa
                        np.concatenate(masks), np.concatenate(prov))
 
 
-def unwindow(values: np.ndarray, provenance: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Map windowed values back to per-(simulation_id, job_index) rows.
-
-    Where overlapping windows predict the same row more than once, the value
-    from the earliest window wins.  Padded positions are discarded.
-    """
-    keys, flat_ix = _first_assignments(provenance)
-    flat_values = values.reshape(-1, values.shape[-1])[flat_ix]
-    return {
-        (int(k >> 32), int(k & 0xFFFFFFFF)): flat_values[i]
-        for i, k in enumerate(keys)
-    }
-
-
 def _pack_keys(simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
     """sid << 32 | job_index keys; both must lie in [0, 2**31) to stay distinct."""
     for name, values in (("simulation_id", simulation_ids), ("job_index", job_indices)):
@@ -159,20 +145,18 @@ def _pack_keys(simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarra
     return (simulation_ids.astype(np.int64) << np.int64(32)) | job_indices
 
 
-def _first_assignments(provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed row keys and the flat index of each key's earliest
-    (window-major) occurrence."""
-    prov = provenance.reshape(-1, 2)
-    valid = np.nonzero(prov[:, 1] != PAD)[0]
-    keys, first = np.unique(_pack_keys(prov[valid, 0], prov[valid, 1]), return_index=True)
-    return keys, valid[first]
-
-
 def unwindow_aligned(values: np.ndarray, provenance: np.ndarray,
                      simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
-    """Per-row values aligned with (simulation_ids, job_indices); earliest
-    window wins, as in unwindow."""
-    keys, flat_ix = _first_assignments(provenance)
+    """Map windowed values back to the rows (simulation_ids, job_indices).
+
+    Where overlapping windows predict the same row more than once, the value
+    from the earliest window wins.  Padded positions are discarded.
+    """
+    prov = provenance.reshape(-1, 2)
+    valid = np.nonzero(prov[:, 1] != PAD)[0]
+    # np.unique's first index is each key's earliest (window-major) occurrence
+    keys, first = np.unique(_pack_keys(prov[valid, 0], prov[valid, 1]), return_index=True)
+    flat_ix = valid[first]
     wanted = _pack_keys(simulation_ids, job_indices)
     pos = np.searchsorted(keys, wanted)
     if pos.size and (pos.max(initial=0) >= len(keys) or (keys[np.minimum(pos, len(keys) - 1)] != wanted).any()):

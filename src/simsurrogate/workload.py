@@ -8,7 +8,7 @@ independent, portable, bit-reproducible stream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -69,10 +69,35 @@ DEFAULT_JOB_CLASSES: tuple[JobClassSpec, ...] = (
 )
 
 
-def load_job_classes(path: str) -> tuple[JobClassSpec, ...]:
+_POSITIVE_CLASS_KEYS = ("flops_median", "input_size_median_bytes",
+                        "output_size_median_bytes", "mean_interarrival_s")
+_SIGMA_CLASS_KEYS = ("flops_sigma", "input_size_sigma", "output_size_sigma")
+
+
+def load_job_classes(path) -> tuple[JobClassSpec, ...]:
+    """Parse a job-class table file; any defect in it is a WorkloadError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return tuple(JobClassSpec(**entry) for entry in doc["classes"])
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise WorkloadError(f"job-class table {path} is not valid JSON: {exc}") from None
+    entries = doc.get("classes") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise WorkloadError(f"job-class table {path} needs a nonempty 'classes' list")
+    keys = {f.name for f in fields(JobClassSpec)}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise WorkloadError(f"job class {i} is not an object")
+        unknown, missing = sorted(set(entry) - keys), sorted(keys - set(entry))
+        if unknown or missing:
+            raise WorkloadError(f"job class {i}: unknown keys {unknown}, missing keys {missing}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry.values()):
+            raise WorkloadError(f"job class {i}: every value must be a number")
+        if (any(not entry[k] > 0 for k in _POSITIVE_CLASS_KEYS)
+                or any(not entry[k] >= 0 for k in _SIGMA_CLASS_KEYS)):
+            raise WorkloadError(f"job class {i}: medians and the mean interarrival gap "
+                                f"must be positive and sigmas nonnegative")
+    return tuple(JobClassSpec(**entry) for entry in entries)
 
 
 def dump_job_classes(classes: tuple[JobClassSpec, ...]) -> str:
@@ -119,12 +144,3 @@ TRAIN_JOB_COUNTS = (1, 10, 20, 50, 100, 250, 500, 1000, 1500, 2000)
 EXTRAPOLATION_JOB_COUNT = 10_000
 EXTRAPOLATION_SIMULATIONS = 10
 
-
-def scenario_suite(scenario: str, sims_per_batch: int = 1000) -> list[SuiteEntry]:
-    """Training suite (10 job-count batches) plus the extrapolation suite."""
-    get_scenario(scenario)
-    if sims_per_batch < 1:
-        raise WorkloadError("sims_per_batch must be >= 1")
-    suite = [SuiteEntry(n, sims_per_batch, "train") for n in TRAIN_JOB_COUNTS]
-    suite.append(SuiteEntry(EXTRAPOLATION_JOB_COUNT, EXTRAPOLATION_SIMULATIONS, "extrapolation"))
-    return suite

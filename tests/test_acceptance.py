@@ -32,7 +32,7 @@ from simsurrogate.preprocess import (
     make_windows,
     split_train_eval,
     standardize_table,
-    unwindow,
+    unwindow_aligned,
 )
 from simsurrogate.traceio import SampleTable, join_traces, workload_rows
 from simsurrogate.train import TrainConfig, train_model
@@ -184,12 +184,12 @@ def test_criterion_3_preprocessing_properties():
                         ("a", "b", "c"), ("t0", "t1"))
     for w, v in ((4, 0), (4, 2), (8, 4), (16, 0)):
         batch = make_windows(table, w, v)
-        per_row = unwindow(batch.targets, batch.provenance)
-        assert len(per_row) == len(table), (w, v)
-        for i in range(len(table)):
-            key = (int(table.simulation_ids[i]), int(table.job_indices[i]))
-            np.testing.assert_array_equal(per_row[key], table.targets[i],
-                                          err_msg=f"window={w} overlap={v} row={key}")
+        per_row = unwindow_aligned(batch.targets, batch.provenance,
+                                   table.simulation_ids, table.job_indices)
+        covered = set(map(tuple, batch.provenance[batch.mask].tolist()))
+        assert covered == set(zip(sims.tolist(), idx.tolist())), (w, v)
+        np.testing.assert_array_equal(per_row, table.targets,
+                                      err_msg=f"window={w} overlap={v}")
 
     split = split_train_eval({i: 10 + (i % 2) for i in range(20)}, 0.7, seed=1)
     for length, group in split.groups.items():

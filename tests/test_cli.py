@@ -1,11 +1,16 @@
+import csv
 import json
+import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+from simsurrogate import cli
 from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
+from simsurrogate.workload import DEFAULT_JOB_CLASSES, dump_job_classes
 
 TINY = {
     "scenario": "heterogeneous",
@@ -153,12 +158,83 @@ class TestErrorPaths:
         assert "must be nonnegative" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("classes, message", [
+        ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"oops": 1}]}, "unknown keys ['oops']"),
+        ({"classes": []}, "nonempty 'classes' list"),
+        ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"flops_median": 0}]}, "must be positive"),
+    ])
+    def test_bad_job_class_table_exits_3_before_writing(self, tmp_path, classes, message):
+        table = tmp_path / "classes.json"
+        table.write_text(json.dumps(classes))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(TINY | {"out": str(tmp_path / "out"),
+                                           "job_classes": str(table)}))
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
+        assert result.exit_code == 3
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
         result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
         assert result.exit_code != 0
         assert "not valid JSON" in result.output
+
+
+def read_speedup(out: Path) -> list[dict]:
+    with open(out / "heterogeneous" / "bench" / "speedup.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestBench:
+    def test_speedup_is_simulator_over_surrogate_seconds(self, pipeline_dir):
+        rows = read_speedup(pipeline_dir / "out")
+        assert list(rows[0]) == ["scenario", "n_jobs", "simulator_seconds",
+                                 "surrogate_seconds", "speedup"]
+        assert [(r["scenario"], r["n_jobs"]) for r in rows] == [("heterogeneous", "20")]
+        for r in rows:
+            assert float(r["speedup"]) == (float(r["simulator_seconds"])
+                                           / float(r["surrogate_seconds"]))
+
+    def test_one_workload_per_size_with_manifest_job_classes(
+            self, pipeline_dir, tmp_path, monkeypatch):
+        model = tmp_path / "out" / "heterogeneous" / "model"
+        model.mkdir(parents=True)
+        shutil.copy(pipeline_dir / "out" / "heterogeneous" / "model" / "checkpoint.npz", model)
+        classes = DEFAULT_JOB_CLASSES[:2]
+        (tmp_path / "classes.json").write_text(dump_job_classes(classes))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(TINY | {
+            "out": str(tmp_path / "out"), "job_counts": [20, 10, 20],
+            "job_classes": str(tmp_path / "classes.json"), "bench_repeats": 2}))
+        calls = []
+        generate = cli.generate_workload
+
+        def spy(scenario, n_jobs, simulation_id, seed, classes=None):
+            calls.append((n_jobs, classes))
+            return generate(scenario, n_jobs, simulation_id, seed, classes)
+
+        monkeypatch.setattr(cli, "generate_workload", spy)
+        result = CliRunner().invoke(main, ["bench", "--manifest", str(manifest)])
+        assert result.exit_code == 0, result.output
+        assert calls == [(10, classes), (20, classes)]
+        assert [r["n_jobs"] for r in read_speedup(tmp_path / "out")] == ["10", "20"]
+
+    def test_empty_suite_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(TINY | {"out": str(tmp_path / "out"), "job_counts": []}))
+        result = CliRunner().invoke(main, ["bench", "--manifest", str(path)])
+        assert result.exit_code == 4
+        assert "bench suite must be nonempty" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_repeats_is_usage_error_before_writing(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["bench", "--repeats", "0", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "--repeats must be at least 1" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestPoolSize:

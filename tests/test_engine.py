@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from simsurrogate.engine import _Simulation, bench_simulation, run_simulation
+from simsurrogate.engine import _Simulation, run_simulation
 from simsurrogate.errors import SimulationError
 from simsurrogate.platform import (
     LinkSpec,
@@ -11,7 +11,7 @@ from simsurrogate.platform import (
     builtin_platform,
     validate_platform,
 )
-from simsurrogate.workload import DatasetSpec, FileSpec, JobSpec, SuiteEntry, generate_workload
+from simsurrogate.workload import DatasetSpec, FileSpec, JobSpec, generate_workload
 
 
 def single_worker_platform(cores=1, core_speed=1.2e10, link_bw=1.25e8,
@@ -164,17 +164,3 @@ def test_stalled_transfer_raises_simulation_error(monkeypatch):
         run_simulation(single_worker_platform(), [job(0, files=["f0"])],
                        dataset(("f0", 1e8)))
 
-
-def test_bench_rows_schema():
-    platform = builtin_platform("homogeneous")
-    suite = [SuiteEntry(1, 1, "train"), SuiteEntry(10, 1, "train")]
-    rows = bench_simulation(platform, "homogeneous", suite, seed=1)
-    assert [r["n_jobs"] for r in rows] == [1, 10]
-    for r in rows:
-        assert set(r) == {"scenario", "n_jobs", "seconds"}
-        assert r["seconds"] > 0
-
-
-def test_bench_empty_suite_rejected():
-    with pytest.raises(SimulationError, match="nonempty"):
-        bench_simulation(builtin_platform("homogeneous"), "homogeneous", [], seed=1)

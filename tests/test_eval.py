@@ -1,11 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simsurrogate import evaluate
 from simsurrogate.errors import EvalError
 from simsurrogate.evaluate import (
     default_grid,
@@ -13,9 +15,8 @@ from simsurrogate.evaluate import (
     kde,
     r_squared,
     silverman_bandwidth,
-    speedup_report,
+    time_call,
     write_report,
-    write_speedup_csv,
 )
 from simsurrogate.nn.models import ModelConfig
 from simsurrogate.preprocess import fit_standardizer, make_windows, standardize_table
@@ -152,28 +153,37 @@ class TestEvaluateModel:
         assert summary["r2"]["t0"] == report.r2["t0"]
 
 
-class TestSpeedup:
-    def test_ratio(self):
-        sim = [{"scenario": "heterogeneous", "n_jobs": 100, "seconds": 2.0}]
-        sur = [{"scenario": "heterogeneous", "n_jobs": 100, "seconds": 0.1}]
-        rows = speedup_report(sim, sur)
-        assert rows[0]["speedup"] == 20.0
+class TestTimeCall:
+    @staticmethod
+    def fake_clock(monkeypatch, durations):
+        """A clock that only moves when the timed function runs, by the next
+        of `durations`; returns the function and the log of calls and reads."""
+        now, log, steps = [0.0], [], iter(durations)
 
-    def test_sorted_by_key(self):
-        sim = [{"scenario": "a", "n_jobs": n, "seconds": 1.0} for n in (100, 10)]
-        sur = [{"scenario": "a", "n_jobs": n, "seconds": 1.0} for n in (10, 100)]
-        assert [r["n_jobs"] for r in speedup_report(sim, sur)] == [10, 100]
+        def read():
+            log.append("clock")
+            return now[0]
 
-    def test_key_mismatch_rejected(self):
-        sim = [{"scenario": "a", "n_jobs": 10, "seconds": 1.0}]
-        sur = [{"scenario": "a", "n_jobs": 20, "seconds": 1.0}]
-        with pytest.raises(EvalError, match="mismatch"):
-            speedup_report(sim, sur)
+        def fn():
+            now[0] += next(steps)
+            log.append("call")
+            return log.count("call")
 
-    def test_csv_written(self, tmp_path):
-        sim = [{"scenario": "a", "n_jobs": 10, "seconds": 4.0}]
-        sur = [{"scenario": "a", "n_jobs": 10, "seconds": 2.0}]
-        path = tmp_path / "speedup.csv"
-        write_speedup_csv(path, speedup_report(sim, sur))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2 and lines[1].endswith("2.0")
+        monkeypatch.setattr(evaluate, "time", SimpleNamespace(perf_counter=read))
+        return fn, log
+
+    def test_warm_up_untimed_then_median_of_repeats(self, monkeypatch):
+        fn, log = self.fake_clock(monkeypatch, [100.0, 3.0, 1.0, 2.0])
+        result, seconds = time_call(fn, 3)
+        assert log[:2] == ["call", "clock"]  # the warm-up runs before any clock read
+        assert log.count("call") == 4
+        assert seconds == 2.0  # median of 3, 1 and 2; the 100 s warm-up is not counted
+        assert result == 4  # the last call's result
+
+    def test_even_repeats_average_the_middle_pair(self, monkeypatch):
+        fn, _ = self.fake_clock(monkeypatch, [100.0, 4.0, 1.0, 2.0, 10.0])
+        assert time_call(fn, 4)[1] == 3.0
+
+    def test_zero_repeats_rejected(self):
+        with pytest.raises(EvalError, match="repeats"):
+            time_call(lambda: None, 0)

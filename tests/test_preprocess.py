@@ -12,10 +12,18 @@ from simsurrogate.preprocess import (
     fit_standardizer,
     make_windows,
     split_train_eval,
-    unwindow,
     unwindow_aligned,
 )
 from simsurrogate.traceio import SampleTable
+
+
+def windowed_keys(batch):
+    """The distinct (simulation_id, job_index) rows the windows cover."""
+    return set(map(tuple, batch.provenance[batch.mask].tolist()))
+
+
+def table_keys(table):
+    return set(zip(table.simulation_ids.tolist(), table.job_indices.tolist()))
 
 
 def table_from(lengths, n_feat=3, n_tgt=2, seed=0):
@@ -130,11 +138,10 @@ class TestWindows:
     def test_unwindow_identity_on_targets(self, w, v):
         table = table_from([7, 1, 12, 16, 3])
         batch = make_windows(table, w, v)
-        per_row = unwindow(batch.targets, batch.provenance)
-        assert len(per_row) == len(table)
-        for i in range(len(table)):
-            key = (int(table.simulation_ids[i]), int(table.job_indices[i]))
-            np.testing.assert_array_equal(per_row[key], table.targets[i])
+        per_row = unwindow_aligned(batch.targets, batch.provenance,
+                                   table.simulation_ids, table.job_indices)
+        assert windowed_keys(batch) == table_keys(table)
+        np.testing.assert_array_equal(per_row, table.targets)
 
     def test_overlap_earliest_window_wins(self):
         table = table_from([6])
@@ -142,8 +149,9 @@ class TestWindows:
         # poison the second window's copy of row 2; earliest window must win
         values = batch.targets.copy()
         values[1, 0] = 999.0
-        per_row = unwindow(values, batch.provenance)
-        np.testing.assert_array_equal(per_row[(0, 2)], table.targets[2])
+        per_row = unwindow_aligned(values, batch.provenance,
+                                   table.simulation_ids, table.job_indices)
+        np.testing.assert_array_equal(per_row[2], table.targets[2])
 
     @pytest.mark.parametrize("sid, job", [(0, 2**32), (0, 2**31), (2**31, 0), (-2, 0)])
     def test_keys_out_of_range_rejected(self, sid, job):
@@ -152,8 +160,10 @@ class TestWindows:
         table.simulation_ids[:] = [1, 1, sid]
         table.job_indices[:] = [0, 1, job]
         batch = make_windows(table, 4, 0)
+        # the windows' own keys are checked, not only the requested ones
         with pytest.raises(PreprocessError, match=r"2\*\*31"):
-            unwindow(batch.targets, batch.provenance)
+            unwindow_aligned(batch.targets, batch.provenance,
+                             table.simulation_ids[:2], table.job_indices[:2])
         with pytest.raises(PreprocessError, match=r"2\*\*31"):
             unwindow_aligned(batch.targets, batch.provenance,
                              table.simulation_ids, table.job_indices)
@@ -164,8 +174,10 @@ class TestWindows:
         v = data.draw(st.integers(0, w - 1))
         table = table_from([n])
         batch = make_windows(table, w, v)
-        per_row = unwindow(batch.targets, batch.provenance)
-        assert len(per_row) == n
+        per_row = unwindow_aligned(batch.targets, batch.provenance,
+                                   table.simulation_ids, table.job_indices)
+        assert windowed_keys(batch) == table_keys(table)
+        np.testing.assert_array_equal(per_row, table.targets)
         if v == 0:
             # with no overlap each row appears exactly once
             count = sum(int(m.sum()) for m in batch.mask)

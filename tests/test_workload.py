@@ -1,6 +1,11 @@
+import json
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from simsurrogate.cli import ExperimentManifest, _suite
 from simsurrogate.errors import WorkloadError
 from simsurrogate.workload import (
     DEFAULT_JOB_CLASSES,
@@ -9,7 +14,6 @@ from simsurrogate.workload import (
     dump_job_classes,
     generate_workload,
     load_job_classes,
-    scenario_suite,
 )
 
 
@@ -72,7 +76,7 @@ def test_class_ids_cover_all_classes():
 
 
 def test_suite_contents():
-    suite = scenario_suite("homogeneous")
+    suite = _suite(ExperimentManifest(scenario="homogeneous", sims_per_batch=1000))
     train = [e for e in suite if e.kind == "train"]
     extra = [e for e in suite if e.kind == "extrapolation"]
     assert tuple(e.n_jobs for e in train) == TRAIN_JOB_COUNTS
@@ -84,7 +88,7 @@ def test_suite_contents():
 
 
 def test_suite_sims_per_batch_override():
-    suite = scenario_suite("heterogeneous", sims_per_batch=20)
+    suite = _suite(ExperimentManifest(sims_per_batch=20))
     assert all(e.n_simulations == 20 for e in suite if e.kind == "train")
 
 
@@ -92,3 +96,31 @@ def test_job_classes_round_trip(tmp_path):
     path = tmp_path / "classes.json"
     path.write_text(dump_job_classes(DEFAULT_JOB_CLASSES))
     assert load_job_classes(path) == DEFAULT_JOB_CLASSES
+
+
+CLASS_0 = asdict(DEFAULT_JOB_CLASSES[0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    (json.dumps([CLASS_0]), "nonempty 'classes' list"),
+    (json.dumps({"classes": []}), "nonempty 'classes' list"),
+    (json.dumps({"classes": [CLASS_0 | {"oops": 1}]}), "unknown keys ['oops']"),
+    (json.dumps({"classes": [{k: v for k, v in CLASS_0.items() if k != "flops_sigma"}]}),
+     "missing keys ['flops_sigma']"),
+    (json.dumps({"classes": [CLASS_0 | {"flops_median": "big"}]}), "must be a number"),
+    (json.dumps({"classes": [CLASS_0 | {"input_size_median_bytes": 0}]}), "must be positive"),
+    (json.dumps({"classes": [CLASS_0 | {"mean_interarrival_s": -1.0}]}), "must be positive"),
+    (json.dumps({"classes": [CLASS_0 | {"output_size_sigma": -0.1}]}), "sigmas nonnegative"),
+])
+def test_bad_job_class_table_rejected(tmp_path, text, message):
+    path = tmp_path / "classes.json"
+    path.write_text(text)
+    with pytest.raises(WorkloadError, match=re.escape(message)):
+        load_job_classes(path)
+
+
+def test_zero_sigma_accepted(tmp_path):
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({"classes": [CLASS_0 | {"flops_sigma": 0}]}))
+    assert load_job_classes(path)[0].flops_sigma == 0
