@@ -33,7 +33,8 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluate import evaluate_model, predict_rows, time_call, write_report, write_speedup_csv
+from .evaluate import (evaluate_model, predict_rows, speedup_row, time_call, write_report,
+                       write_speedup_csv)
 from .nn.models import ARCHITECTURES, ModelConfig
 from .platform import builtin_platform
 from .preprocess import (
@@ -474,8 +475,7 @@ def bench(manifest_path, repeats, **flags):
         _, sur_s = time_call(lambda: predict_rows(ckpt.config, ckpt.params, table,
                                                   ckpt.feature_std, ckpt.target_std),
                              man.bench_repeats)
-        rows.append({"scenario": man.scenario, "n_jobs": n, "simulator_seconds": sim_s,
-                     "surrogate_seconds": sur_s, "speedup": sim_s / sur_s})
+        rows.append(speedup_row(man.scenario, n, sim_s, sur_s))
     outdir = _scenario_dir(man) / "bench"
     outdir.mkdir(parents=True, exist_ok=True)
     write_speedup_csv(outdir / "speedup.csv", rows)

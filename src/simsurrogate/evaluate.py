@@ -166,6 +166,12 @@ def write_report(outdir: str | Path, report: EvalReport) -> None:
     (outdir / "report.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
 
 
+def speedup_row(scenario: str, n_jobs: int, simulator_seconds: float, surrogate_seconds: float) -> dict:
+    """One speedup.csv row; `speedup` is the simulator's seconds over the surrogate's."""
+    return dict(scenario=scenario, n_jobs=n_jobs, simulator_seconds=simulator_seconds,
+                surrogate_seconds=surrogate_seconds, speedup=simulator_seconds / surrogate_seconds)
+
+
 def write_speedup_csv(path: str | Path, rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

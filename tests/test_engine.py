@@ -4,6 +4,7 @@ import pytest
 
 from simsurrogate.engine import _Simulation, run_simulation
 from simsurrogate.errors import SimulationError
+from simsurrogate.evaluate import speedup_row, time_call
 from simsurrogate.platform import (
     LinkSpec,
     NodeSpec,
@@ -164,3 +165,17 @@ def test_stalled_transfer_raises_simulation_error(monkeypatch):
         run_simulation(single_worker_platform(), [job(0, files=["f0"])],
                        dataset(("f0", 1e8)))
 
+
+def test_bench_rows_schema():
+    platform = builtin_platform("homogeneous")
+    rows = []
+    for n in (1, 10):
+        jobs, datasets = generate_workload("homogeneous", n, 0, 1)
+        traces, seconds = time_call(lambda: run_simulation(platform, jobs, datasets), 1)
+        assert len(traces) == n
+        rows.append(speedup_row("homogeneous", n, seconds, 1.0))
+    assert [r["n_jobs"] for r in rows] == [1, 10]
+    for r in rows:
+        assert set(r) == {"scenario", "n_jobs", "simulator_seconds", "surrogate_seconds",
+                          "speedup"}
+        assert r["simulator_seconds"] > 0

@@ -15,8 +15,10 @@ from simsurrogate.evaluate import (
     kde,
     r_squared,
     silverman_bandwidth,
+    speedup_row,
     time_call,
     write_report,
+    write_speedup_csv,
 )
 from simsurrogate.nn.models import ModelConfig
 from simsurrogate.preprocess import fit_standardizer, make_windows, standardize_table
@@ -151,6 +153,19 @@ class TestEvaluateModel:
         summary = json.loads((tmp_path / "report.json").read_text())
         assert summary["seed"] == 5
         assert summary["r2"]["t0"] == report.r2["t0"]
+
+
+class TestSpeedup:
+    def test_ratio(self):
+        row = speedup_row("heterogeneous", 100, 2.0, 0.1)
+        assert row["speedup"] == 20.0
+
+    def test_csv_written(self, tmp_path):
+        path = tmp_path / "speedup.csv"
+        write_speedup_csv(path, [speedup_row("a", 10, 4.0, 2.0)])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "scenario,n_jobs,simulator_seconds,surrogate_seconds,speedup"
+        assert len(lines) == 2 and lines[1] == "a,10,4.0,2.0,2.0"
 
 
 class TestTimeCall:
