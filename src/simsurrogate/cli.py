@@ -294,12 +294,12 @@ def preprocess(manifest_path, **flags):
     """Join traces into samples, split by simulation, fit standardizers."""
     man = resolve_manifest(manifest_path, **flags)
     sims = _load_suite(man)
-    outdir = _scenario_dir(man) / "preprocess"
-    outdir.mkdir(parents=True, exist_ok=True)
-
     train_sims = [s for s in sims if s["kind"] == "train"]
     split = split_train_eval({s["simulation_id"]: s["n_jobs"] for s in train_sims},
                              man.train_fraction, man.seed)
+    outdir = _scenario_dir(man) / "preprocess"
+    outdir.mkdir(parents=True, exist_ok=True)
+
     extra = [s["simulation_id"] for s in sims if s["kind"] == "extrapolation"]
     tables = {}
     for name, ids in (("train", split.train_ids), ("eval", split.eval_ids),

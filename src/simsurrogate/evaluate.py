@@ -17,6 +17,8 @@ from .preprocess import Standardizer, make_windows, standardize_table, unwindow_
 from .traceio import SampleTable
 
 KDE_BANDWIDTH_FLOOR = 1e-9
+_KDE_NODES_PER_BW = 16  # binned KDE lattice spacing: bandwidth / 16
+_KDE_REACH = 8 * _KDE_NODES_PER_BW  # lattice nodes in 8 bandwidths
 
 
 def r_squared(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -41,7 +43,18 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def kde(values: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
-    """Gaussian-kernel density of `values` evaluated on `grid`."""
+    """Gaussian-kernel density of `values` evaluated on `grid`.
+
+    Linear binning (Silverman, AS 176, 1982; Wand, JCGS 1994): each value
+    splits its weight between the two nearest nodes of a lattice spaced
+    bandwidth/16 that spans the grid plus 8 bandwidths either side, and each
+    grid point sums the exact kernel over the nodes within 8 bandwidths.
+    Splitting moves a value's kernel by at most 1/2048 of its peak; values
+    off the lattice are dropped, each worth under e^-32 of a peak. The tests
+    hold the result within 1e-3 of the exact sum's peak. When the lattice
+    would have more nodes than there are values (small samples, heavy tails,
+    the bandwidth floor) the exact sum is cheaper, so it is used instead.
+    """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if values.size < 2:
@@ -50,6 +63,33 @@ def kde(values: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) ->
         bandwidth = silverman_bandwidth(values)
     elif bandwidth <= 0:
         raise EvalError("bandwidth must be positive")
+    if grid.size == 0:
+        return _kde_exact(values, grid, bandwidth)
+    step = bandwidth / _KDE_NODES_PER_BW
+    lo = grid.min() - _KDE_REACH * step
+    span = (grid.max() - grid.min()) / step + 2 * _KDE_REACH
+    if not span + 1 <= values.size:  # a NaN span (non-finite grid) also goes exact
+        return _kde_exact(values, grid, bandwidth)
+    n_nodes = int(np.ceil(span)) + 1
+    pos = (values - lo) / step
+    pos = pos[(pos >= 0) & (pos <= n_nodes - 1)]
+    left = pos.astype(np.intp)
+    frac = pos - left
+    # node k is weights[k + 1]; the zero at each end stands for every node off
+    # the lattice, where a rounded kernel window may reach
+    weights = np.zeros(n_nodes + 2)
+    weights[1:] = (np.bincount(left, 1.0 - frac, minlength=n_nodes + 1)
+                   + np.bincount(left + 1, frac, minlength=n_nodes + 1))
+    at = (grid - lo) / step
+    nodes = np.rint(at).astype(np.intp)[:, None] + np.arange(-_KDE_REACH, _KDE_REACH + 1)
+    z = (at[:, None] - nodes) / _KDE_NODES_PER_BW
+    kernel = np.exp(-0.5 * z * z)
+    density = (kernel * weights[np.clip(nodes, -1, n_nodes) + 1]).sum(axis=1)
+    return density / (values.size * bandwidth * np.sqrt(2 * np.pi))
+
+
+def _kde_exact(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The Gaussian-kernel sum over every value: grid.size × values.size exps."""
     z = (grid[:, None] - values[None, :]) / bandwidth
     return np.exp(-0.5 * z**2).sum(axis=1) / (values.size * bandwidth * np.sqrt(2 * np.pi))
 

@@ -202,7 +202,8 @@ def split_train_eval(sim_lengths: dict[int, int], fraction: float = 0.7,
     """Assign whole simulations to train/eval per length group.
 
     Train count per group is round-half-up of fraction * group size, so a
-    singleton group goes to train.
+    singleton group goes to train when fraction >= 0.5. A split with no
+    training simulation at all raises PreprocessError.
     """
     if not 0 < fraction < 1:
         raise PreprocessError(f"fraction must be in (0, 1), got {fraction}")
@@ -225,4 +226,8 @@ def split_train_eval(sim_lengths: dict[int, int], fraction: float = 0.7,
         train.extend(g_train)
         evaluation.extend(g_eval)
         groups[length] = {"train": tuple(g_train), "eval": tuple(g_eval)}
+    if not train:
+        raise PreprocessError(
+            f"train fraction {fraction} leaves no training simulation among "
+            f"{len(sim_lengths)} simulations in {len(by_length)} job-count groups")
     return SplitSpec(fraction, seed, tuple(sorted(train)), tuple(sorted(evaluation)), groups)

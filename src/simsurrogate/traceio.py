@@ -207,34 +207,40 @@ def join_traces(scenario: str, workload_rows: list[dict],
 
 
 def write_samples_csv(path: str | Path, table: SampleTable) -> None:
+    # Rows are joined by hand rather than through csv.writer: every cell is a
+    # registry scenario name, an int or a float repr, none of which csv
+    # quotes, so the bytes (\r\n line ends included) are the same.
+    keys = zip(table.simulation_ids.tolist(), table.job_indices.tolist())
+    values = np.hstack([table.features, table.targets]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("scenario", "simulation_id", "job_index")
-                   + table.feature_names + table.target_names)
-        for i in range(len(table)):
-            w.writerow(
-                [table.scenario, int(table.simulation_ids[i]), int(table.job_indices[i])]
-                + [repr(float(v)) for v in table.features[i]]
-                + [repr(float(v)) for v in table.targets[i]]
-            )
+        csv.writer(fh).writerow(("scenario", "simulation_id", "job_index")
+                                + table.feature_names + table.target_names)
+        fh.write("".join(",".join([table.scenario, str(sid), str(jix), *map(repr, row)])
+                         + "\r\n" for (sid, jix), row in zip(keys, values)))
 
 
 def read_samples_csv(path: str | Path) -> SampleTable:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if not rows:
+        lines = fh.read().splitlines()
+    if len(lines) < 2:
         raise JoinError(f"no sample rows in {path}")
-    scenario = rows[0][0]
+    header = next(csv.reader(lines[:1]))
+    rows = lines[1:]
+    scenarios = {line.split(",", 1)[0] for line in rows}
+    if len(scenarios) != 1:
+        raise JoinError(f"{path}: rows mix scenarios {sorted(scenarios)}")
+    scenario = scenarios.pop()
     feats = feature_names(scenario)
     n_feat = len(feats)
     expected = ("scenario", "simulation_id", "job_index") + feats + TARGET_OBSERVABLES
     if tuple(header) != expected:
         raise JoinError(f"{path}: header {header} does not match the {scenario} "
                         f"sample columns {list(expected)}")
-    sim_ids = np.asarray([int(r[1]) for r in rows], dtype=np.int64)
-    job_ix = np.asarray([int(r[2]) for r in rows], dtype=np.int64)
-    features = np.asarray([[float(v) for v in r[3:3 + n_feat]] for r in rows])
-    targets = np.asarray([[float(v) for v in r[3 + n_feat:]] for r in rows])
-    return SampleTable(scenario, sim_ids, job_ix, features, targets, feats)
+    try:
+        keys = np.loadtxt(rows, dtype=np.int64, delimiter=",", usecols=(1, 2), ndmin=2)
+        values = np.loadtxt(rows, dtype=np.float64, delimiter=",",
+                            usecols=range(3, len(expected)), ndmin=2)
+    except ValueError as exc:
+        raise JoinError(f"{path}: {exc}") from exc
+    return SampleTable(scenario, keys[:, 0].copy(), keys[:, 1].copy(),
+                       values[:, :n_feat].copy(), values[:, n_feat:].copy(), feats)

@@ -174,6 +174,18 @@ class TestErrorPaths:
         assert message in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_empty_train_split_exits_5_before_writing(self, tmp_path):
+        # one simulation per job count, and 0.3 rounds down to none of it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(TINY | {"out": str(tmp_path / "out"), "sims_per_batch": 1,
+                                           "job_counts": [20], "train_fraction": 0.3}))
+        runner = CliRunner()
+        assert runner.invoke(main, ["simulate", "--manifest", str(path)]).exit_code == 0
+        result = runner.invoke(main, ["preprocess", "--manifest", str(path)])
+        assert result.exit_code == 5
+        assert "leaves no training simulation" in result.output
+        assert not (tmp_path / "out" / "heterogeneous" / "preprocess").exists()
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

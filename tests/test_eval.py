@@ -108,6 +108,80 @@ class TestKde:
             kde(np.array([1.0, 2.0]), np.linspace(0, 3, 10), bandwidth=0.0)
 
 
+def kde_samples(kind, n=20_000, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "bimodal":
+        return np.concatenate([rng.normal(0.0, 1.0, n // 2), rng.normal(8.0, 0.5, n - n // 2)])
+    sigma = {"lognormal-0.5": 0.5, "lognormal-1.5": 1.5}[kind]
+    return rng.lognormal(0.0, sigma, n)
+
+
+def peak_error(values, grid, bandwidth=None):
+    """Largest |kde - exact sum| on `grid`, as a share of the exact peak."""
+    bw = silverman_bandwidth(values) if bandwidth is None else bandwidth
+    exact = evaluate._kde_exact(values, grid, bw)
+    return float(np.abs(kde(values, grid, bandwidth) - exact).max() / exact.max())
+
+
+def bulk_grid(values):
+    """256 points over the central 99% of `values`: a heavy tail's lattice
+    then stays smaller than the sample."""
+    return np.linspace(*np.quantile(values, [0.005, 0.995]), 256)
+
+
+KINDS = ("lognormal-0.5", "lognormal-1.5", "bimodal")
+
+
+class TestBinnedKde:
+    """`kde` against the exact Gaussian sum, on inputs large enough to bin."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_grid_within_1e3_of_peak(self, kind):
+        values = kde_samples(kind)
+        assert peak_error(values, default_grid(values)) <= 1e-3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid_of_other_data_within_1e3_of_peak(self, kind):
+        # predictions scored on the target's grid: some fall off its lattice
+        values = kde_samples(kind)
+        rng = np.random.default_rng(1)
+        predicted = 1.1 * values + rng.normal(0.0, 0.2 * values.std(), values.size)
+        assert peak_error(predicted, default_grid(values)) <= 1e-3
+        assert peak_error(values, bulk_grid(predicted)) <= 1e-3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_explicit_bandwidth_within_1e3_of_peak(self, kind, scale):
+        values = kde_samples(kind)
+        bandwidth = scale * silverman_bandwidth(values)
+        assert peak_error(values, bulk_grid(values), bandwidth) <= 1e-3
+
+    def test_far_outlier(self):
+        values = kde_samples("bimodal")
+        values[0] = values[1:].max() + 1e6
+        # on the bulk's grid the outlier is off the lattice and dropped
+        assert peak_error(values, default_grid(values[1:])) <= 1e-3
+        # on its own grid the lattice outgrows the sample: the exact sum
+        assert peak_error(values, default_grid(values)) == 0.0
+
+    @pytest.mark.parametrize("values, grid, binned", [
+        (kde_samples("lognormal-0.5"), None, True),
+        (kde_samples("bimodal"), None, True),
+        (kde_samples("lognormal-1.5"), "bulk", True),
+        # a 370-wide tail needs ~27,000 lattice nodes for 20,000 values
+        (kde_samples("lognormal-1.5"), None, False),
+        (np.array([0.0, 1.0, 3.0]), None, False),
+    ], ids=["lognormal-0.5", "bimodal", "lognormal-1.5-bulk", "lognormal-1.5", "three-values"])
+    def test_binned_unless_lattice_outnumbers_values(self, monkeypatch, values, grid, binned):
+        grid = bulk_grid(values) if grid == "bulk" else default_grid(values)
+        calls = []
+        exact = evaluate._kde_exact
+        monkeypatch.setattr(evaluate, "_kde_exact",
+                            lambda *args: calls.append(args) or exact(*args))
+        kde(values, grid)
+        assert len(calls) == (0 if binned else 1)
+
+
 def linear_table(n=64, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 1))

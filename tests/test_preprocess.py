@@ -216,6 +216,11 @@ class TestSplit:
         with pytest.raises(PreprocessError):
             split_train_eval({}, 0.7, seed=0)
 
+    def test_empty_train_set_rejected(self):
+        # round-half-up of 0.3 * 1 is 0 in every singleton group
+        with pytest.raises(PreprocessError, match="no training simulation"):
+            split_train_eval({0: 20, 1: 50}, 0.3, seed=0)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(PreprocessError, match="fraction"):
             split_train_eval({0: 5}, 1.5, seed=0)

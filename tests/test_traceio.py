@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from simsurrogate.engine import run_simulation
 from simsurrogate.errors import JoinError, WorkloadError
 from simsurrogate.platform import builtin_platform
 from simsurrogate.traceio import (
+    TARGET_OBSERVABLES,
+    SampleTable,
     feature_names,
     join_traces,
     read_samples_csv,
@@ -114,3 +118,63 @@ def test_unknown_scenario_rejected(tmp_path, sim_data):
                                           encoding="utf-8")
     with pytest.raises(WorkloadError, match="unknown scenario"):
         read_samples_csv(tmp_path / "garbage.csv")
+
+
+def awkward_table():
+    """Floats whose repr is easy to get wrong, in every column of two scenarios' rows."""
+    awkward = [0.1, -0.0, 5e-324, 1e22, 1 / 3, float("inf")]
+    feats = feature_names("heterogeneous")
+    n_cols = len(feats) + len(TARGET_OBSERVABLES)
+    values = np.array([[awkward[(i + j) % len(awkward)] for j in range(n_cols)]
+                       for i in range(2 * len(awkward))])
+    return SampleTable("heterogeneous",
+                       np.array([0] * 6 + [2**40] * 6, dtype=np.int64),
+                       np.arange(12, dtype=np.int64),
+                       values[:, :len(feats)], values[:, len(feats):], feats)
+
+
+def test_samples_csv_bytes_match_csv_writer(tmp_path):
+    table = awkward_table()
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(("scenario", "simulation_id", "job_index")
+                   + table.feature_names + table.target_names)
+        for i in range(len(table)):
+            w.writerow([table.scenario, int(table.simulation_ids[i]),
+                        int(table.job_indices[i])]
+                       + [repr(float(v)) for v in table.features[i]]
+                       + [repr(float(v)) for v in table.targets[i]])
+    write_samples_csv(tmp_path / "samples.csv", table)
+    assert (tmp_path / "samples.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_samples_csv_round_trip_bit_exact(tmp_path):
+    table = awkward_table()
+    write_samples_csv(tmp_path / "samples.csv", table)
+    back = read_samples_csv(tmp_path / "samples.csv")
+    np.testing.assert_array_equal(back.features.view(np.int64), table.features.view(np.int64))
+    np.testing.assert_array_equal(back.targets.view(np.int64), table.targets.view(np.int64))
+    np.testing.assert_array_equal(back.simulation_ids, table.simulation_ids)
+    np.testing.assert_array_equal(back.job_indices, table.job_indices)
+    assert back.simulation_ids.dtype == back.job_indices.dtype == np.int64
+    assert (back.scenario, back.feature_names) == (table.scenario, table.feature_names)
+
+
+def test_samples_csv_mixed_scenarios_rejected(tmp_path):
+    write_samples_csv(tmp_path / "samples.csv", awkward_table())
+    text = (tmp_path / "samples.csv").read_text(encoding="utf-8")
+    head, last = text.rstrip("\r\n").rsplit("\n", 1)
+    (tmp_path / "mixed.csv").write_text(
+        head + "\n" + last.replace("heterogeneous,", "homogeneous,") + "\r\n",
+        encoding="utf-8")
+    with pytest.raises(JoinError, match="mix scenarios"):
+        read_samples_csv(tmp_path / "mixed.csv")
+
+
+def test_samples_csv_non_integer_key_rejected(tmp_path):
+    write_samples_csv(tmp_path / "samples.csv", awkward_table())
+    text = (tmp_path / "samples.csv").read_text(encoding="utf-8")
+    (tmp_path / "bad.csv").write_text(text.replace("heterogeneous,0,3,", "heterogeneous,0,3.5,"),
+                                      encoding="utf-8")
+    with pytest.raises(JoinError):
+        read_samples_csv(tmp_path / "bad.csv")
