@@ -23,7 +23,7 @@ class SimulationError(SimSurrogateError):
 
 
 class JoinError(SimSurrogateError):
-    """Workload and trace rows cannot be joined losslessly."""
+    """Workload and trace rows cannot be written, read or joined losslessly."""
 
 
 class PreprocessError(SimSurrogateError):

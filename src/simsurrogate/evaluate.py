@@ -54,15 +54,19 @@ def kde(values: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) ->
     hold the result within 1e-3 of the exact sum's peak. When the lattice
     would have more nodes than there are values (small samples, heavy tails,
     the bandwidth floor) the exact sum is cheaper, so it is used instead.
+    Non-finite values, or a non-finite explicit bandwidth, raise EvalError
+    on either path.
     """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if values.size < 2:
         raise EvalError("kde needs at least 2 values")
+    if not np.isfinite(values).all():
+        raise EvalError("kde values must be finite")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(values)
-    elif bandwidth <= 0:
-        raise EvalError("bandwidth must be positive")
+    elif not (bandwidth > 0 and np.isfinite(bandwidth)):
+        raise EvalError(f"bandwidth must be positive and finite, got {bandwidth}")
     if grid.size == 0:
         return _kde_exact(values, grid, bandwidth)
     step = bandwidth / _KDE_NODES_PER_BW

@@ -5,9 +5,10 @@ op records its parents and a gradient closure; `backward` walks the tape in
 reverse topological order.  Broadcasting is supported; gradients are summed
 back to the parent's shape.
 
-The module-level ops (tanh, sigmoid, masked_fill, concat, stack, softmax)
-take a Tensor or a plain ndarray, so model code written with them runs
-either on the tape or as plain numpy with no Tensor built.
+The module-level ops (tanh, masked_fill, concat, softmax) take a Tensor or a
+plain ndarray, so model code written with them runs either on the tape or as
+plain numpy with no Tensor built. `fused_node` records one hand-written
+backward for several parents.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ class Tensor:
         out = np.tanh(self.data)
         return Tensor(out, parents=(self,), grad_fns=(lambda g: g * (1 - out**2),))
 
-    def sigmoid(self):
-        out = sigmoid(self.data)
-        return Tensor(out, parents=(self,), grad_fns=(lambda g: g * out * (1 - out),))
-
     def exp(self):
         out = np.exp(self.data)
         return Tensor(out, parents=(self,), grad_fns=(lambda g: g * out,))
@@ -206,10 +203,6 @@ def tanh(x):
     return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
-def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else 1.0 / (1.0 + np.exp(-x))
-
-
 def masked_fill(x, mask: np.ndarray, value: float):
     """Where mask is True keep the value; where False substitute `value`."""
     if isinstance(x, Tensor):
@@ -231,22 +224,6 @@ def concat(items: list, axis: int = -1):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
             return g[tuple(sl)]
-
-        return grad
-
-    return Tensor(out, parents=tuple(tensors),
-                  grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
-
-
-def stack(items: list, axis: int = 0):
-    if not any(isinstance(t, Tensor) for t in items):
-        return np.stack(items, axis=axis)
-    tensors = [Tensor._coerce(t) for t in items]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def make_grad(i):
-        def grad(g):
-            return np.take(g, i, axis=axis)
 
         return grad
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreprocessError
-from .traceio import SampleTable
+from .traceio import SampleTable, pack_keys
 
 PAD = -1  # provenance marker for padded positions
 
@@ -137,14 +137,6 @@ def make_windows(table: SampleTable, window_size: int, overlap: int) -> WindowBa
                        np.concatenate(masks), np.concatenate(prov))
 
 
-def _pack_keys(simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
-    """sid << 32 | job_index keys; both must lie in [0, 2**31) to stay distinct."""
-    for name, values in (("simulation_id", simulation_ids), ("job_index", job_indices)):
-        if values.size and (values.min() < 0 or values.max() >= 2**31):
-            raise PreprocessError(f"{name} outside [0, 2**31): cannot key rows by it")
-    return (simulation_ids.astype(np.int64) << np.int64(32)) | job_indices
-
-
 def unwindow_aligned(values: np.ndarray, provenance: np.ndarray,
                      simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
     """Map windowed values back to the rows (simulation_ids, job_indices).
@@ -155,9 +147,9 @@ def unwindow_aligned(values: np.ndarray, provenance: np.ndarray,
     prov = provenance.reshape(-1, 2)
     valid = np.nonzero(prov[:, 1] != PAD)[0]
     # np.unique's first index is each key's earliest (window-major) occurrence
-    keys, first = np.unique(_pack_keys(prov[valid, 0], prov[valid, 1]), return_index=True)
+    keys, first = np.unique(pack_keys(prov[valid, 0], prov[valid, 1]), return_index=True)
     flat_ix = valid[first]
-    wanted = _pack_keys(simulation_ids, job_indices)
+    wanted = pack_keys(simulation_ids, job_indices)
     pos = np.searchsorted(keys, wanted)
     if pos.size and (pos.max(initial=0) >= len(keys) or (keys[np.minimum(pos, len(keys) - 1)] != wanted).any()):
         raise PreprocessError("windows do not cover every requested row")

@@ -1,19 +1,26 @@
 """CSV persistence for workloads and traces, and the workload/trace join.
 
 All files are UTF-8 CSV with a header row, ``.`` decimal separator, times in
-seconds with 9 decimal places, byte counts as integers.
+seconds with 9 decimal places, byte counts as integers. No cell is quoted: a
+worker or file id holding a character csv would quote, or the ``;`` that
+separates a job's input files, is refused when written. Workload and trace
+files are read into columns by np.loadtxt and joined on packed
+(simulation_id, job_index) keys, with no per-row Python object.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .engine import TRACE_FIELDS, TraceRecord
-from .errors import JoinError
+from .errors import JoinError, PreprocessError
 from .scenarios import get_scenario
 from .workload import DatasetSpec, JobSpec
 
@@ -41,44 +48,105 @@ def feature_names(scenario: str) -> tuple[str, ...]:
     return get_scenario(scenario).features
 
 
-def _fmt_time(x: float) -> str:
-    return f"{x:.9f}"
+# The workload and trace files are written with one %-format per line, not
+# through csv.writer. _check_ids keeps every cell free of characters csv would
+# quote, so the bytes, \r\n line ends included, are csv.writer's.
+_WORKLOAD_LINE = "%s,%s,%.9f,%r,%s,%d,%d,%s\r\n"
+_TRACE_LINE = "%s,%s" + ",%.9f" * 6 + ",%d,%d,%s\r\n"
+_UNWRITABLE = re.compile('[,";\r\n]')  # quoted by csv, or the input_files separator
+_KEYS = ("simulation_id", "job_index")
+
+
+def _check_ids(ids: set[str], kind: str) -> None:
+    # one search over the concatenation: a single-character match lies in one id
+    if _UNWRITABLE.search("".join(ids)):
+        bad = sorted(i for i in ids if _UNWRITABLE.search(i))
+        raise JoinError(f"{kind} ids {bad[:5]} contain one of , \" ; \\r \\n, "
+                        "which the workload and trace files cannot hold")
+
+
+def _write_lines(path: str | Path, fields: tuple[str, ...], lines: list[str]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(fields) + "\r\n" + "".join(lines))
 
 
 def write_workload_csv(path: str | Path, jobs: list[JobSpec],
                        input_sizes: dict[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(WORKLOAD_FIELDS)
-        for j in jobs:
-            size = sum(input_sizes[f] for f in j.input_files)
-            w.writerow([
-                j.simulation_id,
-                j.job_index,
-                _fmt_time(j.submission_time_s),
-                repr(j.flops),
-                ";".join(j.input_files),
-                int(round(size)),
-                int(round(j.output_files_size_bytes)),
-                j.class_id,
-            ])
+    _check_ids({f for j in jobs for f in j.input_files}, "file")
+    _write_lines(path, WORKLOAD_FIELDS, [_WORKLOAD_LINE % (
+        j.simulation_id, j.job_index, j.submission_time_s, j.flops, ";".join(j.input_files),
+        round(sum(input_sizes[f] for f in j.input_files)), round(j.output_files_size_bytes),
+        j.class_id) for j in jobs])
 
 
-def read_workload_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({
-                "simulation_id": int(rec["simulation_id"]),
-                "job_index": int(rec["job_index"]),
-                "submission_time_s": float(rec["submission_time_s"]),
-                "flops": float(rec["flops"]),
-                "input_files": tuple(f for f in rec["input_files"].split(";") if f),
-                "input_files_size_bytes": float(rec["input_files_size_bytes"]),
-                "output_files_size_bytes": float(rec["output_files_size_bytes"]),
-                "class_id": int(rec["class_id"]),
-            })
-    return rows
+def write_trace_csv(path: str | Path, traces: list[TraceRecord]) -> None:
+    _check_ids({t.worker_id for t in traces}, "worker")
+    _write_lines(path, TRACE_FIELDS, [_TRACE_LINE % (
+        t.simulation_id, t.job_index, t.submission_time_s, t.start_time_s, t.end_time_s,
+        t.compute_time_s, t.input_files_transfer_time_s, t.output_files_transfer_time_s,
+        round(t.input_bytes), round(t.output_bytes), t.worker_id) for t in traces])
+
+
+class Columns:
+    """A workload or trace file's rows as named column arrays, in file order.
+
+    Bulk code reads `columns`. `len`, iteration and integer indexing build
+    rows one at a time (`row(*values)` over the columns in file order) for
+    callers that want rows.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray], row):
+        self.columns = columns
+        self.row = row
+
+    def __len__(self) -> int:
+        return len(self.columns["job_index"])
+
+    def __iter__(self):
+        return map(self.row, *(c.tolist() for c in self.columns.values()))
+
+    def __getitem__(self, i: int):
+        return self.row(*(c.item(i) for c in self.columns.values()))
+
+
+def _workload_row(*values) -> dict:
+    row = dict(zip(WORKLOAD_FIELDS, values))
+    row["input_files"] = tuple(f for f in row["input_files"].split(";") if f)
+    return row
+
+
+def _read_columns(path: str | Path, fields: tuple[str, ...], ints: tuple[str, ...],
+                  texts: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """A file's columns under the header `fields`: `ints` as int64, `texts`
+    as strings, the rest as float64, each parsed by np.loadtxt."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    header = lines[0].rstrip("\n").split(",") if lines else []
+    if tuple(header) != fields:
+        raise JoinError(f"{path}: header {header} is not {list(fields)}")
+    numeric = np.dtype([(name, np.int64 if name in ints else np.float64)
+                        for name in fields if name not in texts])
+    rows = lines[1:]
+    if not rows:  # np.loadtxt would warn that the input holds no data
+        return {name: np.empty(0, str if name in texts else numeric[name]) for name in fields}
+    load = functools.partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=1)
+    try:
+        values = load(dtype=numeric, usecols=[fields.index(n) for n in numeric.names])
+        text = {name: load(dtype=str, usecols=fields.index(name)) for name in texts}
+    except ValueError as exc:
+        raise JoinError(f"{path}: {exc}") from exc
+    return {name: text[name] if name in texts else values[name] for name in fields}
+
+
+def read_workload_csv(path: str | Path) -> Columns:
+    """Rows are dicts keyed by WORKLOAD_FIELDS, `input_files` a tuple."""
+    return Columns(_read_columns(path, WORKLOAD_FIELDS, _KEYS + ("class_id",),
+                                 ("input_files",)), _workload_row)
+
+
+def read_trace_csv(path: str | Path) -> Columns:
+    """Rows are TraceRecords."""
+    return Columns(_read_columns(path, TRACE_FIELDS, _KEYS, ("worker_id",)), TraceRecord)
 
 
 def workload_rows(jobs: list[JobSpec], datasets: DatasetSpec) -> list[dict]:
@@ -95,46 +163,6 @@ def workload_rows(jobs: list[JobSpec], datasets: DatasetSpec) -> list[dict]:
         "output_files_size_bytes": j.output_files_size_bytes,
         "class_id": j.class_id,
     } for j in jobs]
-
-
-def write_trace_csv(path: str | Path, traces: list[TraceRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_FIELDS)
-        for t in traces:
-            w.writerow([
-                t.simulation_id,
-                t.job_index,
-                _fmt_time(t.submission_time_s),
-                _fmt_time(t.start_time_s),
-                _fmt_time(t.end_time_s),
-                _fmt_time(t.compute_time_s),
-                _fmt_time(t.input_files_transfer_time_s),
-                _fmt_time(t.output_files_transfer_time_s),
-                int(round(t.input_bytes)),
-                int(round(t.output_bytes)),
-                t.worker_id,
-            ])
-
-
-def read_trace_csv(path: str | Path) -> list[TraceRecord]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(TraceRecord(
-                simulation_id=int(rec["simulation_id"]),
-                job_index=int(rec["job_index"]),
-                submission_time_s=float(rec["submission_time_s"]),
-                start_time_s=float(rec["start_time_s"]),
-                end_time_s=float(rec["end_time_s"]),
-                compute_time_s=float(rec["compute_time_s"]),
-                input_files_transfer_time_s=float(rec["input_files_transfer_time_s"]),
-                output_files_transfer_time_s=float(rec["output_files_transfer_time_s"]),
-                input_bytes=float(rec["input_bytes"]),
-                output_bytes=float(rec["output_bytes"]),
-                worker_id=rec["worker_id"],
-            ))
-    return out
 
 
 @dataclass
@@ -175,33 +203,73 @@ class SampleTable:
         )
 
 
-def join_traces(scenario: str, workload_rows: list[dict],
-                traces: list[TraceRecord]) -> SampleTable:
-    """Join workload features with trace observables; lossless, key-checked."""
-    wl = {(r["simulation_id"], r["job_index"]): r for r in workload_rows}
-    tr = {(t.simulation_id, t.job_index): t for t in traces}
-    unmatched = sorted(set(wl) ^ set(tr))
-    if unmatched:
-        shown = ", ".join(str(k) for k in unmatched[:10])
-        raise JoinError(
-            f"{len(unmatched)} unmatched (simulation_id, job_index) keys; first: {shown}"
-        )
-    keys = sorted(wl)
+def pack_keys(simulation_ids: np.ndarray, job_indices: np.ndarray) -> np.ndarray:
+    """sid << 32 | job_index keys; both must lie in [0, 2**31) to stay distinct."""
+    for name, values in (("simulation_id", simulation_ids), ("job_index", job_indices)):
+        if values.size and (values.min() < 0 or values.max() >= 2**31):
+            raise PreprocessError(f"{name} outside [0, 2**31): cannot key rows by it")
+    return (simulation_ids.astype(np.int64) << np.int64(32)) | job_indices
+
+
+def _key_columns(rows, names: tuple[str, ...], get) -> dict[str, np.ndarray]:
+    """Key and `names` columns of a Columns, or of a list of rows read by `get`."""
+    if isinstance(rows, Columns):
+        return rows.columns
+    return {name: np.array([get(r, name) for r in rows],
+                           dtype=np.int64 if name in _KEYS else np.float64)
+            for name in _KEYS + names}
+
+
+def _show_keys(keys: np.ndarray) -> str:
+    return ", ".join(str((int(k >> 32), int(k & 0xFFFFFFFF))) for k in keys[:10])
+
+
+def _sorted_keys(columns: dict[str, np.ndarray], side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The side's packed keys in ascending order, and the row order that sorts them."""
+    try:
+        keys = pack_keys(columns["simulation_id"], columns["job_index"])
+    except PreprocessError as exc:
+        raise JoinError(f"{side} rows: {exc}") from exc
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeated = np.unique(keys[1:][keys[1:] == keys[:-1]])
+    if repeated.size:
+        raise JoinError(f"{repeated.size} duplicated (simulation_id, job_index) keys in the "
+                        f"{side} rows; first: {_show_keys(repeated)}")
+    return keys, order
+
+
+def _gather(columns: dict[str, np.ndarray], names: tuple[str, ...],
+            order: np.ndarray) -> np.ndarray:
+    out = np.empty((len(order), len(names)))
+    for j, name in enumerate(names):
+        out[:, j] = columns[name][order]
+    return out
+
+
+def join_traces(scenario: str, workload_rows, traces) -> SampleTable:
+    """Join workload features with trace observables; lossless, key-checked.
+
+    Either side is a Columns from read_workload_csv / read_trace_csv, or a
+    list of row dicts / TraceRecords. Rows match on their packed
+    (simulation_id, job_index) keys, which must lie in [0, 2**31); a key
+    that repeats on one side or is missing from the other raises JoinError.
+    """
     feats = feature_names(scenario)
-    features = np.empty((len(keys), len(feats)))
-    targets = np.empty((len(keys), len(TARGET_OBSERVABLES)))
-    for i, key in enumerate(keys):
-        row, trace = wl[key], tr[key]
-        for j, name in enumerate(feats):
-            features[i, j] = row[name]
-        for j, name in enumerate(TARGET_OBSERVABLES):
-            targets[i, j] = getattr(trace, name)
+    wl = _key_columns(workload_rows, feats, operator.getitem)
+    tr = _key_columns(traces, TARGET_OBSERVABLES, getattr)
+    w_keys, w_order = _sorted_keys(wl, "workload")
+    t_keys, t_order = _sorted_keys(tr, "trace")
+    if not np.array_equal(w_keys, t_keys):
+        unmatched = np.setxor1d(w_keys, t_keys, assume_unique=True)
+        raise JoinError(f"{len(unmatched)} unmatched (simulation_id, job_index) keys; "
+                        f"first: {_show_keys(unmatched)}")
     return SampleTable(
         scenario=scenario,
-        simulation_ids=np.asarray([k[0] for k in keys], dtype=np.int64),
-        job_indices=np.asarray([k[1] for k in keys], dtype=np.int64),
-        features=features,
-        targets=targets,
+        simulation_ids=wl["simulation_id"][w_order],
+        job_indices=wl["job_index"][w_order],
+        features=_gather(wl, feats, w_order),
+        targets=_gather(tr, TARGET_OBSERVABLES, t_order),
         feature_names=feats,
     )
 

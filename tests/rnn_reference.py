@@ -1,11 +1,25 @@
 """Tape-built recurrent reference: the per-gate GRU and LSTM cells, run one
 step at a time on the autodiff tape over slices of the fused parameters.
-Tests hold the hand-written BPTT in `nn.models` to these."""
+Tests hold the hand-written BPTT in `nn.models` to these. The tape ops only
+this reference uses, `sigmoid` and `stack`, live here too."""
 
 import numpy as np
 
-from simsurrogate.nn.autodiff import Tensor, concat, sigmoid, stack, tanh
+from simsurrogate.nn.autodiff import Tensor, concat, tanh
 from simsurrogate.nn.models import RNN_CELLS, linear_forward
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * out * (1 - out),))
+
+
+def stack(items: list[Tensor], axis: int = 0) -> Tensor:
+    def make_grad(i):
+        return lambda g: np.take(g, i, axis=axis)
+
+    return Tensor(np.stack([t.data for t in items], axis=axis), parents=tuple(items),
+                  grad_fns=tuple(make_grad(i) for i in range(len(items))))
 
 
 def rnn_params(rng, prefix, in_dim, hidden, kind, scale=0.4):

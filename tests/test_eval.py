@@ -132,6 +132,14 @@ def bulk_grid(values):
 KINDS = ("lognormal-0.5", "lognormal-1.5", "bimodal")
 
 
+def count_exact_calls(monkeypatch) -> list:
+    """The calls `kde` makes to the exact sum from now on; results are unchanged."""
+    calls = []
+    exact = evaluate._kde_exact
+    monkeypatch.setattr(evaluate, "_kde_exact", lambda *args: calls.append(args) or exact(*args))
+    return calls
+
+
 class TestBinnedKde:
     """`kde` against the exact Gaussian sum, on inputs large enough to bin."""
 
@@ -174,11 +182,29 @@ class TestBinnedKde:
     ], ids=["lognormal-0.5", "bimodal", "lognormal-1.5-bulk", "lognormal-1.5", "three-values"])
     def test_binned_unless_lattice_outnumbers_values(self, monkeypatch, values, grid, binned):
         grid = bulk_grid(values) if grid == "bulk" else default_grid(values)
-        calls = []
-        exact = evaluate._kde_exact
-        monkeypatch.setattr(evaluate, "_kde_exact",
-                            lambda *args: calls.append(args) or exact(*args))
+        calls = count_exact_calls(monkeypatch)
         kde(values, grid)
+        assert len(calls) == (0 if binned else 1)
+
+    @pytest.mark.parametrize("values, binned", [
+        (kde_samples("lognormal-0.5"), True),
+        (np.array([0.0, 1.0, 3.0]), False),
+    ], ids=["binned", "exact"])
+    @pytest.mark.parametrize("bad_value, bandwidth", [
+        (np.nan, None), (np.inf, None), (np.nan, 0.5), (None, np.nan), (None, np.inf),
+    ])
+    def test_non_finite_input_rejected_on_both_paths(self, monkeypatch, values, binned,
+                                                     bad_value, bandwidth):
+        grid = default_grid(values)
+        calls = count_exact_calls(monkeypatch)
+        finite_bw = 0.5 if bandwidth == 0.5 else None
+        kde(values, grid, finite_bw)  # the path these inputs take
+        assert len(calls) == (0 if binned else 1)
+        with pytest.raises(EvalError, match="finite"):
+            if bad_value is None:
+                kde(values, grid, bandwidth)
+            else:
+                kde(np.append(values, bad_value), grid, finite_bw)
         assert len(calls) == (0 if binned else 1)
 
 

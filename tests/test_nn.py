@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from rnn_reference import gru_cell, reference_direction, reference_forward, rnn_params
+from rnn_reference import gru_cell, reference_direction, reference_forward, rnn_params, stack
 
 from simsurrogate.errors import ModelConfigError
 from simsurrogate.evaluate import predict_rows
-from simsurrogate.nn.autodiff import Tensor, concat, softmax, stack
+from simsurrogate.nn.autodiff import Tensor, concat, softmax
 from simsurrogate.nn.models import (
     ModelConfig,
     bidirectional_forward,
