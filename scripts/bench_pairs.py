@@ -46,11 +46,13 @@ def export(rev: str, dest: Path) -> None:
 
 
 def host_facts() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        # the BLAS entry without its directories, which name the build machine
+        "blas": {k: v for k, v in blas.items() if "directory" not in k},
         "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
         "platform": platform.platform(),
     }
