@@ -4,14 +4,16 @@
     python scripts/bench_pairs.py --parent HEAD~1 --workload hetero-10k --pairs 10 --seed 7
 
 Each pair runs `perfbench/run.py` once on the parent revision and once on the
-working tree, with the same workload, seed and run length, alternating which
-side runs first. The parent runs from a `git archive` export of its revision
-in a temporary directory, which leaves nothing behind in the repository. The
-output file (default `BENCH_<rev>.json`, `<rev>` the working tree's commit)
-holds every run's last JSON line, both revisions, the seeds, the host's core
-count, Python, numpy, BLAS and thread variables, and for each metric each
-side's median and quartiles and the number of pairs the change won. It is
-rewritten after every pair, so an interrupted series keeps its runs.
+working tree, with the same workload and seed and BENCHMARK.json's run length,
+alternating which side runs first. The parent runs from a `git archive` export
+of its revision in a temporary directory, which leaves nothing behind in the
+repository. The output file (default `BENCH_<rev>.json`, `<rev>` the working
+tree's commit) holds every run's last JSON line, both revisions, the seeds,
+the host's core count, Python, numpy, BLAS and thread variables, each side's
+attempted and failed operation totals, and for each metric each side's median
+and quartiles and the number of pairs the change won. Only pairs whose two
+runs exited 0 and passed their checks count toward the medians and wins. It
+is rewritten after every pair, so an interrupted series keeps its runs.
 """
 
 from __future__ import annotations
@@ -80,12 +82,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
 
 
+def usable(run: dict) -> bool:
+    """Whether a run counts toward the pairs: it exited 0 and passed its checks."""
+    return run["result"] is not None and not run["returncode"] and run["result"]["correct"]
+
+
+def totals(runs: list[dict]) -> dict:
+    """Per side: runs, usable runs, and operations attempted and failed."""
+    out = {side: {"runs": 0, "usable_runs": 0, "attempted": 0, "failed": 0}
+           for side in ("parent", "change")}
+    for run in runs:
+        side = out[run["side"]]
+        side["runs"] += 1
+        side["usable_runs"] += usable(run)
+        if run["result"] is not None:
+            side["attempted"] += run["result"]["attempted"]
+            side["failed"] += run["result"]["failed"]
+    return out
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and quartiles, and the pairs the change won."""
     pairs: dict[int, dict[str, dict]] = {}
-    for run in runs:
-        if run["result"] is not None and not run["returncode"]:
-            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+    for run in filter(usable, runs):
+        pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
     complete = [p for p in pairs.values() if len(p) == 2]
     summary = {}
     for name in sorted({m for p in complete for m in p["parent"]} & set(better)):
@@ -113,7 +133,6 @@ def main() -> None:
                     help="repeatable; every workload of BENCHMARK.json by default")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, default=None,
                     help="output file; BENCH_<rev>.json (BENCH_<rev>_trace.json traced) by default")
@@ -126,7 +145,7 @@ def main() -> None:
     change = git("rev-parse", "HEAD")
     out = args.out or ROOT / f"BENCH_{change[:7]}{'_trace' if args.trace else ''}.json"
     doc = {
-        "command": f"perfbench/run.py --seconds {args.seconds} --trace {args.trace}",
+        "command": f"perfbench/run.py --seconds {bench['run_seconds']} --trace {args.trace}",
         "parent": {"rev": parent},
         "change": {"rev": change, "working_tree_dirty": bool(
             git("status", "--porcelain", "--untracked-files=no"))},
@@ -140,14 +159,16 @@ def main() -> None:
         sides = {"parent": Path(tmp), "change": ROOT}
         for workload in args.workload or [w["name"] for w in bench["workloads"]]:
             runs: list[dict] = []
-            doc["workloads"][workload] = {"runs": runs, "summary": {}}
+            doc["workloads"][workload] = {"runs": runs, "totals": {}, "summary": {}}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
-                    run = run_once(sides[side], workload, args.seed, args.seconds, args.trace)
+                    run = run_once(sides[side], workload, args.seed, bench["run_seconds"],
+                                   args.trace)
                     runs.append({"pair": pair, "side": side, "position": position} | run)
                     print(f"{workload} pair {pair} {side}: exit {run['returncode']}, "
                           f"{run['wall_s']:.1f} s", file=sys.stderr)
+                doc["workloads"][workload]["totals"] = totals(runs)
                 doc["workloads"][workload]["summary"] = summarize(runs, better)
                 out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)

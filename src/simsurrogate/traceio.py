@@ -115,27 +115,40 @@ def _workload_row(*values) -> dict:
     return row
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def _body(path: str | Path, lines: list[str], fields: tuple[str, ...]) -> list[str]:
+    """The lines after the header, which must be `fields`."""
+    header = lines[0].rstrip("\r\n").split(",") if lines else []
+    if tuple(header) != fields:
+        raise JoinError(f"{path}: header {header} is not {list(fields)}")
+    return lines[1:]
+
+
+def _loadtxt(path: str | Path, rows: list[str], **kwargs) -> np.ndarray:
+    """np.loadtxt over CSV rows; a cell it cannot parse raises JoinError."""
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, **kwargs)
+    except ValueError as exc:
+        raise JoinError(f"{path}: {exc}") from exc
+
+
 def _read_columns(path: str | Path, fields: tuple[str, ...], ints: tuple[str, ...],
                   texts: tuple[str, ...]) -> dict[str, np.ndarray]:
     """A file's columns under the header `fields`: `ints` as int64, `texts`
-    as strings, the rest as float64, each parsed by np.loadtxt."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    header = lines[0].rstrip("\n").split(",") if lines else []
-    if tuple(header) != fields:
-        raise JoinError(f"{path}: header {header} is not {list(fields)}")
+    as strings, the rest as float64."""
+    rows = _body(path, _read_lines(path), fields)
     numeric = np.dtype([(name, np.int64 if name in ints else np.float64)
                         for name in fields if name not in texts])
-    rows = lines[1:]
     if not rows:  # np.loadtxt would warn that the input holds no data
         return {name: np.empty(0, str if name in texts else numeric[name]) for name in fields}
-    load = functools.partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=1)
-    try:
-        values = load(dtype=numeric, usecols=[fields.index(n) for n in numeric.names])
-        text = {name: load(dtype=str, usecols=fields.index(name)) for name in texts}
-    except ValueError as exc:
-        raise JoinError(f"{path}: {exc}") from exc
-    return {name: text[name] if name in texts else values[name] for name in fields}
+    values = _loadtxt(path, rows, dtype=numeric, ndmin=1,
+                      usecols=[fields.index(n) for n in numeric.names])
+    return {name: _loadtxt(path, rows, dtype=str, ndmin=1, usecols=fields.index(name))
+            if name in texts else values[name] for name in fields}
 
 
 def read_workload_csv(path: str | Path) -> Columns:
@@ -288,27 +301,19 @@ def write_samples_csv(path: str | Path, table: SampleTable) -> None:
 
 
 def read_samples_csv(path: str | Path) -> SampleTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if len(lines) < 2:
         raise JoinError(f"no sample rows in {path}")
-    header = next(csv.reader(lines[:1]))
-    rows = lines[1:]
-    scenarios = {line.split(",", 1)[0] for line in rows}
+    scenarios = {line.split(",", 1)[0] for line in lines[1:]}
     if len(scenarios) != 1:
         raise JoinError(f"{path}: rows mix scenarios {sorted(scenarios)}")
     scenario = scenarios.pop()
     feats = feature_names(scenario)
     n_feat = len(feats)
+    # by position: a scenario's features may repeat a key column's name
     expected = ("scenario", "simulation_id", "job_index") + feats + TARGET_OBSERVABLES
-    if tuple(header) != expected:
-        raise JoinError(f"{path}: header {header} does not match the {scenario} "
-                        f"sample columns {list(expected)}")
-    try:
-        keys = np.loadtxt(rows, dtype=np.int64, delimiter=",", usecols=(1, 2), ndmin=2)
-        values = np.loadtxt(rows, dtype=np.float64, delimiter=",",
-                            usecols=range(3, len(expected)), ndmin=2)
-    except ValueError as exc:
-        raise JoinError(f"{path}: {exc}") from exc
+    rows = _body(path, lines, expected)
+    keys = _loadtxt(path, rows, dtype=np.int64, usecols=(1, 2), ndmin=2)
+    values = _loadtxt(path, rows, dtype=np.float64, usecols=range(3, len(expected)), ndmin=2)
     return SampleTable(scenario, keys[:, 0].copy(), keys[:, 1].copy(),
                        values[:, :n_feat].copy(), values[:, n_feat:].copy(), feats)
