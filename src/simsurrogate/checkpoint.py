@@ -4,6 +4,7 @@ single .npz container with a versioned header."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from .preprocess import Standardizer
 from .scenarios import get_scenario
 
 CHECKPOINT_VERSION = 2  # 2: recurrent gates stored fused
+_HEADER_KEYS = ("scenario", "seed", "config", "feature_std", "target_std")
 
 
 @dataclass
@@ -43,12 +45,28 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise TrainingError(f"{path} is not a checkpoint: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise TrainingError(f"{path} is not a checkpoint: not an .npz archive")
+    with data:
+        if "__header__" not in data.files:
+            raise TrainingError(f"{path} is not a checkpoint: it has no __header__")
+        try:
+            header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+        except ValueError as exc:
+            raise TrainingError(f"{path} is not a checkpoint: bad header: {exc}") from None
+        if not isinstance(header, dict):
+            raise TrainingError(f"{path} is not a checkpoint: its header is not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise TrainingError(f"unsupported checkpoint version {header.get('version')}; "
                                 f"this build reads version {CHECKPOINT_VERSION}, retrain the model")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise TrainingError(f"checkpoint header is missing {missing}")
     keys, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
     if keys != known:
         raise TrainingError(f"checkpoint config keys: missing {sorted(known - keys)}, "

@@ -151,6 +151,8 @@ def resolve_manifest(manifest_path: str | None, **flags) -> ExperimentManifest:
             raise click.ClickException(f"cannot read manifest: {exc}")
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"manifest is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise click.ClickException(f"manifest must be a JSON object, got {doc!r}")
         types = typing.get_type_hints(ExperimentManifest)
         unknown = set(doc) - set(types)
         if unknown:

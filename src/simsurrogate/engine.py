@@ -11,6 +11,12 @@ the bytes have been serviced.
 Transfers sharing the same ordered (source, destination) pair always have the
 same rate, so they are tracked per route as fluid progress against absolute
 byte thresholds.  This keeps each event O(#routes) instead of O(#transfers).
+
+Everything else is a heap event naming its job, run at equal times in order
+of kind, then job index: EV_SUBMIT (queue the job, fill free cores),
+EV_TRANSFER_DONE (an input's latency is over: start the next input or the
+compute), EV_COMPUTE_DONE (start the output) and EV_OUTPUT_DONE (record the
+trace, free the core).  Transfers are finished before events due at once.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import SimulationError
 from .platform import PlatformSpec
@@ -49,47 +55,34 @@ class TraceRecord:
 TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
 
 
+@dataclass(slots=True, eq=False)
 class _Transfer:
-    __slots__ = ("job", "threshold", "size", "latency", "on_done", "audit_bytes")
-
-    def __init__(self, job, threshold, size, latency, on_done):
-        self.job = job
-        self.threshold = threshold
-        self.size = size
-        self.latency = latency
-        self.on_done = on_done
-        self.audit_bytes = 0.0
+    job: _JobState
+    size: float
+    is_output: bool
+    audit_bytes: float = 0.0
 
 
+@dataclass(slots=True, eq=False)
 class _RouteFlow:
-    __slots__ = ("links", "cap", "latency", "progress", "rate", "pending")
-
-    def __init__(self, links, cap, latency):
-        self.links = links
-        self.cap = cap
-        self.latency = latency
-        self.progress = 0.0
-        self.rate = 0.0
-        self.pending: list[tuple[float, int, _Transfer]] = []
+    links: tuple[str, ...]
+    cap: float
+    latency: float
+    progress: float = 0.0
+    rate: float = 0.0
+    pending: list[tuple[float, int, _Transfer]] = field(default_factory=list)
 
 
+@dataclass(slots=True, eq=False)
 class _JobState:
-    __slots__ = (
-        "spec", "worker", "start", "input_time",
-        "compute_time", "output_started", "output_time", "files_left",
-        "input_bytes",
-    )
-
-    def __init__(self, spec: JobSpec):
-        self.spec = spec
-        self.worker = None
-        self.start = 0.0
-        self.input_time = 0.0
-        self.compute_time = 0.0
-        self.output_started = 0.0
-        self.output_time = 0.0
-        self.files_left: deque[str] = deque(spec.input_files)
-        self.input_bytes = 0.0
+    spec: JobSpec
+    files_left: deque[str]
+    worker: str | None = None
+    start: float = 0.0
+    input_time: float = 0.0
+    compute_time: float = 0.0
+    output_started: float = 0.0
+    input_bytes: float = 0.0
 
 
 class _Simulation:
@@ -100,11 +93,8 @@ class _Simulation:
         self.nodes = {n.id: n for n in platform.nodes}
         self.link_bw = {l.id: l.bandwidth_bps for l in platform.links}
         self.link_latency = {l.id: l.latency_s for l in platform.links}
-        self.file_size: dict[str, float] = {}
-        self.file_loc: dict[str, str] = {}
-        for f in datasets.files:
-            self.file_size[f.file_id] = f.size_bytes
-            self.file_loc[f.file_id] = f.location
+        self.file_size = {f.file_id: f.size_bytes for f in datasets.files}
+        self.file_loc = {f.file_id: f.location for f in datasets.files}
         for j in jobs:
             for fid in j.input_files:
                 if fid not in self.file_size:
@@ -112,13 +102,15 @@ class _Simulation:
                         f"job {j.job_index} of simulation {j.simulation_id} "
                         f"references missing input file {fid!r}"
                     )
-        self.jobs = [_JobState(j) for j in sorted(jobs, key=lambda j: j.job_index)]
+        # where a job without input files writes its output (None: its worker)
+        self.output_dest = next((n.id for n in platform.storage_nodes()), None)
+        self.jobs = [_JobState(j, deque(j.input_files))
+                     for j in sorted(jobs, key=lambda j: j.job_index)]
         workers = sorted(platform.workers(), key=lambda w: w.id)
         self.worker_ids = [w.id for w in workers]
         self.free_cores = {w.id: w.cores for w in workers}
         self.queue: deque[_JobState] = deque()
-        # (when, kind, job_index, seq, handler, arg); seq is unique, so the
-        # handler and its argument are never compared.
+        # (when, kind, job_index, seq, job); seq is unique, so jobs are never compared
         self.heap: list[tuple] = []
         self.seq = 0
         self.now = 0.0
@@ -127,21 +119,11 @@ class _Simulation:
         self.traces: dict[int, TraceRecord] = {}
 
     # Event plumbing -------------------------------------------------------
-    def _push(self, when: float, kind: int, job_index: int, handler, arg) -> None:
+    def _push(self, when: float, kind: int, job: _JobState) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (when, kind, job_index, self.seq, handler, arg))
+        heapq.heappush(self.heap, (when, kind, job.spec.job_index, self.seq, job))
 
     # Transfer plumbing ----------------------------------------------------
-    def _route_cap(self, src: str, dst: str) -> float:
-        cap = float("inf")
-        read = self.nodes[src].disk_read_bw_bps
-        write = self.nodes[dst].disk_write_bw_bps
-        if read > 0:
-            cap = min(cap, read)
-        if write > 0:
-            cap = min(cap, write)
-        return cap
-
     def _recompute_rates(self) -> None:
         for flow in self.flows.values():
             share = flow.cap
@@ -150,26 +132,27 @@ class _Simulation:
             flow.rate = share
 
     def _start_transfer(self, job: _JobState, src: str, dst: str, size: float,
-                        on_done) -> None:
+                        is_output: bool) -> bool:
+        """Open a transfer; False when it is local or empty and costs nothing."""
         if src == dst or size <= 0.0:
-            on_done(job, 0.0)
-            return
+            return False
         key = (src, dst)
         flow = self.flows.get(key)
         if flow is None:
-            try:
-                links = self.platform.routes[key]
-            except KeyError:
-                raise SimulationError(f"no route between nodes {src!r} and {dst!r}") from None
-            latency = sum(self.link_latency[l] for l in links)
-            flow = _RouteFlow(links, self._route_cap(src, dst), latency)
+            links = self.platform.routes.get(key)
+            if links is None:
+                raise SimulationError(f"no route between nodes {src!r} and {dst!r}")
+            disks = (self.nodes[src].disk_read_bw_bps, self.nodes[dst].disk_write_bw_bps)
+            cap = min((bw for bw in disks if bw > 0), default=float("inf"))
+            flow = _RouteFlow(links, cap, sum(self.link_latency[l] for l in links))
             self.flows[key] = flow
         for lid in flow.links:
             self.link_load[lid] = self.link_load.get(lid, 0) + 1
         self.seq += 1
-        xfer = _Transfer(job, flow.progress + size, size, flow.latency, on_done)
-        heapq.heappush(flow.pending, (xfer.threshold, self.seq, xfer))
+        heapq.heappush(flow.pending, (flow.progress + size, self.seq,
+                                      _Transfer(job, size, is_output)))
         self._recompute_rates()
+        return True
 
     def _finish_transfer(self, key: tuple[str, str], xfer: _Transfer) -> None:
         flow = self.flows[key]
@@ -187,9 +170,8 @@ class _Simulation:
                     f"work conservation violated: transferred {got} of {xfer.size} bytes"
                 )
         # Latency is charged once, after the bytes are through.
-        kind = EV_OUTPUT_DONE if xfer.on_done == self._output_done else EV_TRANSFER_DONE
-        self._push(self.now + xfer.latency, kind, xfer.job.spec.job_index,
-                   self._latency_done, xfer)
+        self._push(self.now + flow.latency,
+                   EV_OUTPUT_DONE if xfer.is_output else EV_TRANSFER_DONE, xfer.job)
 
     # Scheduling -----------------------------------------------------------
     def _try_dispatch(self) -> None:
@@ -208,43 +190,26 @@ class _Simulation:
             self._next_input(job)
 
     def _next_input(self, job: _JobState) -> None:
-        if job.files_left:
+        """Start the job's next remote input file, or its compute if none is left."""
+        while job.files_left:
             fid = job.files_left.popleft()
             size = self.file_size[fid]
             job.input_bytes += size
-            self._start_transfer(job, self.file_loc[fid], job.worker, size,
-                                 self._input_done)
-        else:
-            self._input_phase_over(job)
-
-    def _input_done(self, job: _JobState, _latency: float) -> None:
-        self._next_input(job)
-
-    def _input_phase_over(self, job: _JobState) -> None:
+            if self._start_transfer(job, self.file_loc[fid], job.worker, size, False):
+                return
         job.input_time = self.now - job.start
-        speed = self.nodes[job.worker].core_speed_flops
-        job.compute_time = job.spec.flops / speed
-        self._push(self.now + job.compute_time, EV_COMPUTE_DONE,
-                   job.spec.job_index, self._compute_done, job)
-
-    def _latency_done(self, xfer: _Transfer) -> None:
-        xfer.on_done(xfer.job, xfer.latency)
-
-    def _submit(self, job: _JobState) -> None:
-        self.queue.append(job)
-        self._try_dispatch()
+        job.compute_time = job.spec.flops / self.nodes[job.worker].core_speed_flops
+        self._push(self.now + job.compute_time, EV_COMPUTE_DONE, job)
 
     def _compute_done(self, job: _JobState) -> None:
         job.output_started = self.now
-        out = job.spec.output_files_size_bytes
-        dest = self.file_loc.get(job.spec.input_files[0]) if job.spec.input_files else None
-        if dest is None:
-            storages = self.platform.storage_nodes()
-            dest = storages[0].id if storages else job.worker
-        self._start_transfer(job, job.worker, dest, out, self._output_done)
+        inputs = job.spec.input_files
+        dest = self.file_loc[inputs[0]] if inputs else self.output_dest or job.worker
+        if not self._start_transfer(job, job.worker, dest,
+                                    job.spec.output_files_size_bytes, True):
+            self._output_done(job)
 
-    def _output_done(self, job: _JobState, _latency: float) -> None:
-        job.output_time = self.now - job.output_started
+    def _output_done(self, job: _JobState) -> None:
         spec = job.spec
         self.traces[spec.job_index] = TraceRecord(
             simulation_id=spec.simulation_id,
@@ -254,7 +219,7 @@ class _Simulation:
             end_time_s=self.now,
             compute_time_s=job.compute_time,
             input_files_transfer_time_s=job.input_time,
-            output_files_transfer_time_s=job.output_time,
+            output_files_transfer_time_s=self.now - job.output_started,
             input_bytes=job.input_bytes,
             output_bytes=spec.output_files_size_bytes,
             worker_id=job.worker,
@@ -265,8 +230,7 @@ class _Simulation:
     # Main loop ------------------------------------------------------------
     def run(self) -> list[TraceRecord]:
         for job in self.jobs:
-            self._push(job.spec.submission_time_s, EV_SUBMIT,
-                       job.spec.job_index, self._submit, job)
+            self._push(job.spec.submission_time_s, EV_SUBMIT, job)
         while self.heap or self.flows:
             t_fluid = float("inf")
             for flow in self.flows.values():
@@ -281,8 +245,7 @@ class _Simulation:
                 raise SimulationError("simulation stalled with pending work")
             dt = t - self.now
             if dt > 0:
-                for key in list(self.flows):
-                    flow = self.flows[key]
+                for flow in self.flows.values():
                     flow.progress += flow.rate * dt
                     if self.audit:
                         for _, _, xfer in flow.pending:
@@ -302,8 +265,16 @@ class _Simulation:
                         _, _, xfer = heapq.heappop(flow.pending)
                         self._finish_transfer(key, xfer)
             else:
-                *_, handler, arg = heapq.heappop(self.heap)
-                handler(arg)
+                _, kind, _, _, job = heapq.heappop(self.heap)
+                if kind == EV_SUBMIT:
+                    self.queue.append(job)
+                    self._try_dispatch()
+                elif kind == EV_TRANSFER_DONE:
+                    self._next_input(job)
+                elif kind == EV_COMPUTE_DONE:
+                    self._compute_done(job)
+                else:
+                    self._output_done(job)
             if self.audit:
                 for wid in self.worker_ids:
                     free = self.free_cores[wid]

@@ -8,6 +8,7 @@ independent, portable, bit-reproducible stream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -93,6 +94,10 @@ def load_job_classes(path) -> tuple[JobClassSpec, ...]:
             raise WorkloadError(f"job class {i}: unknown keys {unknown}, missing keys {missing}")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry.values()):
             raise WorkloadError(f"job class {i}: every value must be a number")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entry.values()):
+            raise WorkloadError(f"job class {i}: every value must be finite")
+        if not isinstance(entry["class_id"], int):
+            raise WorkloadError(f"job class {i}: class_id must be an integer")
         if (any(not entry[k] > 0 for k in _POSITIVE_CLASS_KEYS)
                 or any(not entry[k] >= 0 for k in _SIGMA_CLASS_KEYS)):
             raise WorkloadError(f"job class {i}: medians and the mean interarrival gap "

@@ -94,3 +94,43 @@ def test_input_dim_must_match_scenario_features(tmp_path):
     save_checkpoint(tmp_path / "c.npz", checkpoint(scenario="homogeneous"))
     with pytest.raises(TrainingError, match="input_dim 5.*4 features"):
         load_checkpoint(tmp_path / "c.npz")
+
+
+def write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: p.write_text("not a checkpoint"),
+    lambda p: p.write_bytes(b""),
+    lambda p: p.write_bytes(b"PK\x03\x04truncated"),
+    write_npy,
+    lambda p: np.savez(p, weights=np.zeros(3)),
+], ids=["text", "empty", "broken_zip", "npy", "npz_without_header"])
+def test_file_that_is_not_a_checkpoint_rejected(tmp_path, make):
+    path = tmp_path / "c.npz"
+    make(path)
+    with pytest.raises(TrainingError, match="is not a checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[2]"],
+                         ids=["not_json", "not_utf8", "not_an_object"])
+def test_unreadable_header_rejected(tmp_path, header):
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, checkpoint())
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["__header__"] = np.frombuffer(header, dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(TrainingError, match="is not a checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["config", "scenario", "seed", "feature_std", "target_std"])
+def test_header_missing_a_key_rejected(tmp_path, key):
+    save_checkpoint(tmp_path / "c.npz", checkpoint())
+    resave_with_header(tmp_path / "c.npz", lambda h: h.pop(key))
+    with pytest.raises(TrainingError, match=rf"header is missing \['{key}'\]"):
+        load_checkpoint(tmp_path / "c.npz")

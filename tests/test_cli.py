@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -143,6 +144,17 @@ class TestErrorPaths:
         assert not isinstance(result.exception, TypeError)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"heterogeneous"'])
+    def test_manifest_that_is_not_an_object_rejected_before_writing(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "manifest must be a JSON object" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out").exists()
+
     def test_well_typed_manifest_values_accepted(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"learning_rate": 1, "job_counts": [], "arch": "bilstm",
@@ -162,6 +174,10 @@ class TestErrorPaths:
         ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"oops": 1}]}, "unknown keys ['oops']"),
         ({"classes": []}, "nonempty 'classes' list"),
         ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"flops_median": 0}]}, "must be positive"),
+        ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"mean_interarrival_s": math.inf}]},
+         "must be finite"),
+        ({"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"class_id": 1.5}]},
+         "class_id must be an integer"),
     ])
     def test_bad_job_class_table_exits_3_before_writing(self, tmp_path, classes, message):
         table = tmp_path / "classes.json"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simsurrogate.engine import _Simulation, run_simulation
 from simsurrogate.errors import SimulationError
@@ -179,3 +181,104 @@ def test_bench_rows_schema():
         assert set(r) == {"scenario", "n_jobs", "simulator_seconds", "surrogate_seconds",
                           "speedup"}
         assert r["simulator_seconds"] > 0
+
+
+def test_mixed_inputs_move_one_after_another():
+    # Two remote files are transferred in turn, each paying the route latency
+    # after its bytes; a zero-byte file and one already on the worker cost no
+    # time but still count toward input_bytes.
+    platform = single_worker_platform()
+    files = (FileSpec("f0", 1e9, "s0"), FileSpec("empty", 0.0, "s0"),
+             FileSpec("local", 3e8, "w0"), FileSpec("f1", 5e8, "s0"))
+    jobs = [job(0, files=["f0", "empty", "local", "f1"], out=1e8)]
+    t, = run_simulation(platform, jobs, DatasetSpec(files=files), audit=True)
+    assert math.isclose(t.input_files_transfer_time_s,
+                        (1e-4 + 1e9 / 1.25e8) + (1e-4 + 5e8 / 1.25e8), rel_tol=1e-12)
+    assert math.isclose(t.input_files_transfer_time_s, 12.0002, rel_tol=1e-12)
+    assert t.input_bytes == 1e9 + 0.0 + 3e8 + 5e8
+    # output goes back to the first input's storage
+    assert math.isclose(t.output_files_transfer_time_s, 1e-4 + 1e8 / 1.25e8, rel_tol=1e-12)
+    assert math.isclose(t.end_time_s - t.start_time_s,
+                        t.input_files_transfer_time_s + t.compute_time_s
+                        + t.output_files_transfer_time_s, rel_tol=1e-12)
+
+
+def test_only_local_inputs_cost_nothing():
+    platform = single_worker_platform()
+    files = (FileSpec("local", 3e8, "w0"), FileSpec("empty", 0.0, "s0"))
+    t, = run_simulation(platform, [job(0, files=["local", "empty"], out=1e8)],
+                        DatasetSpec(files=files), audit=True)
+    assert t.input_files_transfer_time_s == 0.0
+    assert t.input_bytes == 3e8
+    # the first input lives on the worker, so the output stays there
+    assert t.output_files_transfer_time_s == 0.0
+    assert t.end_time_s - t.start_time_s == t.compute_time_s
+
+
+def test_worker_only_platform_keeps_output_on_the_worker():
+    spec = PlatformSpec(nodes=(NodeSpec("w0", "worker", cores=2, core_speed_flops=1e9),),
+                        links=(), routes={})
+    validate_platform(spec)
+    jobs = [job(i, flops=2e9, out=1e8, sub=0.5 * i) for i in range(3)]
+    traces = run_simulation(spec, jobs, dataset(), audit=True)
+    for t in traces:
+        assert t.worker_id == "w0"
+        assert t.output_files_transfer_time_s == 0.0
+        assert t.output_bytes == 1e8
+        assert t.end_time_s - t.start_time_s == t.compute_time_s == 2.0
+    # the third job waits for the first core to come free at t = 2
+    assert [t.start_time_s for t in traces] == [0.0, 0.5, 2.0]
+
+
+@st.composite
+def star_cases(draw):
+    """A storage node and 1-3 workers, each behind its own link to one switch
+    (the storage's link is the shared uplink), with jobs reading 1-3 files
+    from the storage or from any worker."""
+    bw = st.floats(1e6, 1e9)
+    latency = st.sampled_from([0.0, 1e-4, 1e-2])
+    n_workers = draw(st.integers(1, 3))
+    workers = [f"w{i}" for i in range(n_workers)]
+    nodes = [NodeSpec(w, "worker", cores=draw(st.integers(1, 3)),
+                      core_speed_flops=draw(st.floats(1e8, 1e10))) for w in workers]
+    nodes.append(NodeSpec("s0", "storage", disk_read_bw_bps=draw(bw),
+                          disk_write_bw_bps=draw(bw)))
+    ends = workers + ["s0"]
+    links = tuple(LinkSpec(f"l_{n}", draw(bw), draw(latency)) for n in ends)
+    routes = {(a, b): (f"l_{a}", f"l_{b}") for a in ends for b in ends if a != b}
+    platform = PlatformSpec(tuple(nodes), links, routes)
+    validate_platform(platform)
+    size = st.one_of(st.just(0.0), st.floats(1e3, 1e9))
+    files, jobs = [], []
+    for i in range(draw(st.integers(1, 8))):
+        ids = [f"j{i}_f{k}" for k in range(draw(st.integers(1, 3)))]
+        files += [FileSpec(f, draw(size), draw(st.sampled_from(ends))) for f in ids]
+        jobs.append(job(i, flops=draw(st.floats(1e6, 1e11)), files=ids, out=draw(size),
+                        sub=draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))))
+    return platform, jobs, DatasetSpec(files=tuple(files))
+
+
+class TestStarProperties:
+    @given(case=star_cases(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariants(self, case, data):
+        platform, jobs, datasets = case
+        traces = run_simulation(platform, jobs, datasets, audit=True)
+        assert [t.job_index for t in traces] == list(range(len(jobs)))
+        for t in traces:
+            assert t.start_time_s >= t.submission_time_s
+            phases = (t.input_files_transfer_time_s + t.compute_time_s
+                      + t.output_files_transfer_time_s)
+            assert math.isclose(t.end_time_s - t.start_time_s, phases,
+                                rel_tol=0, abs_tol=1e-12 * max(1.0, t.end_time_s))
+        cores = {n.id: n.cores for n in platform.workers()}
+        for wid, limit in cores.items():
+            # a core freed at t is taken at t, so ends sort before starts
+            edges = sorted([(t.start_time_s, 1) for t in traces if t.worker_id == wid]
+                           + [(t.end_time_s, -1) for t in traces if t.worker_id == wid])
+            running = 0
+            for _, step in edges:
+                running += step
+                assert running <= limit
+        shuffled = data.draw(st.permutations(jobs))
+        assert run_simulation(platform, shuffled, datasets, audit=True) == traces

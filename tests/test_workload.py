@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import asdict
 
@@ -112,6 +113,12 @@ CLASS_0 = asdict(DEFAULT_JOB_CLASSES[0])
     (json.dumps({"classes": [CLASS_0 | {"input_size_median_bytes": 0}]}), "must be positive"),
     (json.dumps({"classes": [CLASS_0 | {"mean_interarrival_s": -1.0}]}), "must be positive"),
     (json.dumps({"classes": [CLASS_0 | {"output_size_sigma": -0.1}]}), "sigmas nonnegative"),
+    (json.dumps({"classes": [CLASS_0 | {"mean_interarrival_s": math.inf}]}), "must be finite"),
+    (json.dumps({"classes": [CLASS_0 | {"flops_sigma": math.nan}]}), "must be finite"),
+    (json.dumps({"classes": [CLASS_0 | {"flops_median": "BIG"}]}).replace('"BIG"', "1e400"),
+     "must be finite"),
+    (json.dumps({"classes": [CLASS_0 | {"class_id": 1.5}]}), "class_id must be an integer"),
+    (json.dumps({"classes": [CLASS_0 | {"class_id": 2.0}]}), "class_id must be an integer"),
 ])
 def test_bad_job_class_table_rejected(tmp_path, text, message):
     path = tmp_path / "classes.json"
