@@ -152,7 +152,7 @@ def resolve_manifest(manifest_path: str | None, **flags) -> ExperimentManifest:
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"manifest is not valid JSON: {exc}")
         if not isinstance(doc, dict):
-            raise click.ClickException(f"manifest must be a JSON object, got {doc!r}")
+            raise click.ClickException("manifest must be a JSON object")
         types = typing.get_type_hints(ExperimentManifest)
         unknown = set(doc) - set(types)
         if unknown:
