@@ -4,6 +4,7 @@ single .npz container with a versioned header."""
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -67,6 +68,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise TrainingError(f"checkpoint header is missing {missing}")
+    if not isinstance(header["scenario"], str):
+        raise TrainingError(f"checkpoint scenario {header['scenario']!r} is not a string")
+    if isinstance(header["seed"], bool) or not isinstance(header["seed"], int):
+        raise TrainingError(f"checkpoint seed {header['seed']!r} is not an integer")
+    if not isinstance(header["config"], dict):
+        raise TrainingError(f"checkpoint config {header['config']!r} is not a JSON object")
     keys, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
     if keys != known:
         raise TrainingError(f"checkpoint config keys: missing {sorted(known - keys)}, "
@@ -74,13 +81,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     ckpt = Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         params=params,
-        feature_std=Standardizer.from_json(json.dumps(header["feature_std"])),
-        target_std=Standardizer.from_json(json.dumps(header["target_std"])),
+        feature_std=_standardizer(header, "feature_std"),
+        target_std=_standardizer(header, "target_std"),
         scenario=header["scenario"],
         seed=header["seed"],
     )
     _validate(ckpt)
     return ckpt
+
+
+def _finite_numbers(value) -> bool:
+    """A JSON list of finite numbers; booleans and strings are not numbers."""
+    if not isinstance(value, list):
+        return False
+    try:
+        return all(not isinstance(v, bool) and math.isfinite(v) for v in value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _standardizer(header: dict, key: str) -> Standardizer:
+    doc = header[key]
+    if not (isinstance(doc, dict) and _finite_numbers(doc.get("mean"))
+            and _finite_numbers(doc.get("std")) and isinstance(doc.get("names"), list)
+            and all(isinstance(n, str) for n in doc["names"])):
+        raise TrainingError(f"checkpoint {key} needs 'mean' and 'std' lists of finite "
+                            f"numbers and a 'names' list of strings")
+    return Standardizer.from_json(json.dumps(doc))
 
 
 def _validate(ckpt: Checkpoint) -> None:

@@ -21,8 +21,8 @@ trace, free the core).  Transfers are finished before events due at once.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -65,7 +65,7 @@ class _Transfer:
 
 @dataclass(slots=True, eq=False)
 class _RouteFlow:
-    links: tuple[str, ...]
+    links: tuple[int, ...]  # positions in the platform's link list
     cap: float
     latency: float
     progress: float = 0.0
@@ -91,8 +91,13 @@ class _Simulation:
         self.platform = platform
         self.audit = audit
         self.nodes = {n.id: n for n in platform.nodes}
-        self.link_bw = {l.id: l.bandwidth_bps for l in platform.links}
-        self.link_latency = {l.id: l.latency_s for l in platform.links}
+        # Link state is indexed by the link's position in platform.links.
+        self.link_index = {l.id: i for i, l in enumerate(platform.links)}
+        self.link_bw = [l.bandwidth_bps for l in platform.links]
+        self.link_latency = [l.latency_s for l in platform.links]
+        self.link_load = [0] * len(platform.links)
+        # (src, dst) -> (link indices, disk cap, summed latency), filled on first use
+        self.route_facts: dict[tuple[str, str], tuple[tuple[int, ...], float, float]] = {}
         self.file_size = {f.file_id: f.size_bytes for f in datasets.files}
         self.file_loc = {f.file_id: f.location for f in datasets.files}
         for j in jobs:
@@ -111,25 +116,38 @@ class _Simulation:
         self.free_cores = {w.id: w.cores for w in workers}
         self.queue: deque[_JobState] = deque()
         # (when, kind, job_index, seq, job); seq is unique, so jobs are never compared
-        self.heap: list[tuple] = []
-        self.seq = 0
+        self.heap = [(j.spec.submission_time_s, EV_SUBMIT, j.spec.job_index, seq, j)
+                     for seq, j in enumerate(self.jobs, 1)]
+        heapify(self.heap)
+        self.seq = len(self.jobs)
         self.now = 0.0
-        self.link_load: dict[str, int] = {}
         self.flows: dict[tuple[str, str], _RouteFlow] = {}
         self.traces: dict[int, TraceRecord] = {}
 
     # Event plumbing -------------------------------------------------------
     def _push(self, when: float, kind: int, job: _JobState) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (when, kind, job.spec.job_index, self.seq, job))
+        heappush(self.heap, (when, kind, job.spec.job_index, self.seq, job))
 
     # Transfer plumbing ----------------------------------------------------
     def _recompute_rates(self) -> None:
+        bw, load = self.link_bw, self.link_load
         for flow in self.flows.values():
             share = flow.cap
-            for lid in flow.links:
-                share = min(share, self.link_bw[lid] / self.link_load[lid])
+            for i in flow.links:
+                s = bw[i] / load[i]
+                if s < share:
+                    share = s
             flow.rate = share
+
+    def _route(self, src: str, dst: str) -> tuple[tuple[int, ...], float, float]:
+        links = self.platform.routes.get((src, dst))
+        if links is None:
+            raise SimulationError(f"no route between nodes {src!r} and {dst!r}")
+        disks = (self.nodes[src].disk_read_bw_bps, self.nodes[dst].disk_write_bw_bps)
+        cap = min((bw for bw in disks if bw > 0), default=float("inf"))
+        idx = tuple(self.link_index[l] for l in links)
+        return idx, cap, sum(self.link_latency[i] for i in idx)
 
     def _start_transfer(self, job: _JobState, src: str, dst: str, size: float,
                         is_output: bool) -> bool:
@@ -139,27 +157,24 @@ class _Simulation:
         key = (src, dst)
         flow = self.flows.get(key)
         if flow is None:
-            links = self.platform.routes.get(key)
-            if links is None:
-                raise SimulationError(f"no route between nodes {src!r} and {dst!r}")
-            disks = (self.nodes[src].disk_read_bw_bps, self.nodes[dst].disk_write_bw_bps)
-            cap = min((bw for bw in disks if bw > 0), default=float("inf"))
-            flow = _RouteFlow(links, cap, sum(self.link_latency[l] for l in links))
-            self.flows[key] = flow
-        for lid in flow.links:
-            self.link_load[lid] = self.link_load.get(lid, 0) + 1
+            facts = self.route_facts.get(key)
+            if facts is None:
+                facts = self.route_facts[key] = self._route(src, dst)
+            flow = self.flows[key] = _RouteFlow(*facts)
+        load = self.link_load
+        for i in flow.links:
+            load[i] += 1
         self.seq += 1
-        heapq.heappush(flow.pending, (flow.progress + size, self.seq,
-                                      _Transfer(job, size, is_output)))
+        heappush(flow.pending, (flow.progress + size, self.seq,
+                                _Transfer(job, size, is_output)))
         self._recompute_rates()
         return True
 
-    def _finish_transfer(self, key: tuple[str, str], xfer: _Transfer) -> None:
-        flow = self.flows[key]
-        for lid in flow.links:
-            self.link_load[lid] -= 1
-            if self.link_load[lid] == 0:
-                del self.link_load[lid]
+    def _finish_transfer(self, key: tuple[str, str], flow: _RouteFlow,
+                         xfer: _Transfer) -> None:
+        load = self.link_load
+        for i in flow.links:
+            load[i] -= 1
         if not flow.pending:
             del self.flows[key]
         self._recompute_rates()
@@ -175,16 +190,17 @@ class _Simulation:
 
     # Scheduling -----------------------------------------------------------
     def _try_dispatch(self) -> None:
-        while self.queue:
-            best = None
-            for wid in self.worker_ids:
-                free = self.free_cores[wid]
-                if free > 0 and (best is None or free > self.free_cores[best]):
-                    best = wid
+        queue, free_cores = self.queue, self.free_cores
+        while queue:
+            # the first worker, in id order, with the most free cores
+            best, most = None, 0
+            for wid, free in free_cores.items():
+                if free > most:
+                    best, most = wid, free
             if best is None:
                 return
-            job = self.queue.popleft()
-            self.free_cores[best] -= 1
+            job = queue.popleft()
+            free_cores[best] -= 1
             job.worker = best
             job.start = self.now
             self._next_input(job)
@@ -225,47 +241,48 @@ class _Simulation:
             worker_id=job.worker,
         )
         self.free_cores[job.worker] += 1
-        self._try_dispatch()
+        if self.queue:
+            self._try_dispatch()
 
     # Main loop ------------------------------------------------------------
     def run(self) -> list[TraceRecord]:
-        for job in self.jobs:
-            self._push(job.spec.submission_time_s, EV_SUBMIT, job)
-        while self.heap or self.flows:
-            t_fluid = float("inf")
-            for flow in self.flows.values():
-                if flow.pending and flow.rate > 0:
-                    t_fluid = min(
-                        t_fluid,
-                        self.now + (flow.pending[0][0] - flow.progress) / flow.rate,
-                    )
-            t_event = self.heap[0][0] if self.heap else float("inf")
-            t = min(t_fluid, t_event)
-            if t == float("inf"):
+        heap, flows, audit, inf = self.heap, self.flows, self.audit, math.inf
+        active = flows.values()  # a live view
+        while heap or flows:
+            now = self.now
+            t_fluid = inf
+            for flow in active:
+                rate = flow.rate
+                if rate > 0:
+                    t = now + (flow.pending[0][0] - flow.progress) / rate
+                    if t < t_fluid:
+                        t_fluid = t
+            t_event = heap[0][0] if heap else inf
+            t = t_event if t_event < t_fluid else t_fluid
+            if t == inf:
                 raise SimulationError("simulation stalled with pending work")
-            dt = t - self.now
+            dt = t - now
             if dt > 0:
-                for flow in self.flows.values():
+                for flow in active:
                     flow.progress += flow.rate * dt
-                    if self.audit:
+                    if audit:
                         for _, _, xfer in flow.pending:
                             xfer.audit_bytes += flow.rate * dt
             self.now = t
             if t_fluid <= t_event:
                 # Complete every transfer whose threshold has been reached.
-                for key in list(self.flows):
-                    flow = self.flows[key]
-                    # Tolerance covers accumulated rounding plus the bytes a
-                    # flow can move within one representable time step; without
-                    # the rate term a sub-ulp deficit can never be closed and
-                    # the loop would spin at a frozen clock.
-                    tol = (1e-6 + 1e-12 * abs(flow.progress)
-                           + flow.rate * math.ulp(max(self.now, 1.0)))
-                    while flow.pending and flow.pending[0][0] <= flow.progress + tol:
-                        _, _, xfer = heapq.heappop(flow.pending)
-                        self._finish_transfer(key, xfer)
+                # Tolerance covers accumulated rounding plus the bytes a flow
+                # can move within one representable time step; without the
+                # rate term a sub-ulp deficit can never be closed and the loop
+                # would spin at a frozen clock.
+                step = math.ulp(max(t, 1.0))
+                for key, flow in list(flows.items()):
+                    pending = flow.pending
+                    tol = 1e-6 + 1e-12 * abs(flow.progress) + flow.rate * step
+                    while pending and pending[0][0] <= flow.progress + tol:
+                        self._finish_transfer(key, flow, heappop(pending)[2])
             else:
-                _, kind, _, _, job = heapq.heappop(self.heap)
+                _, kind, _, _, job = heappop(heap)
                 if kind == EV_SUBMIT:
                     self.queue.append(job)
                     self._try_dispatch()
@@ -275,7 +292,7 @@ class _Simulation:
                     self._compute_done(job)
                 else:
                     self._output_done(job)
-            if self.audit:
+            if audit:
                 for wid in self.worker_ids:
                     free = self.free_cores[wid]
                     if not 0 <= free <= self.nodes[wid].cores:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,7 +94,11 @@ def load_job_classes(path) -> tuple[JobClassSpec, ...]:
             raise WorkloadError(f"job class {i}: unknown keys {unknown}, missing keys {missing}")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry.values()):
             raise WorkloadError(f"job class {i}: every value must be a number")
-        if any(isinstance(v, float) and not math.isfinite(v) for v in entry.values()):
+        try:  # float() of an integer literal beyond float range overflows
+            finite = all(math.isfinite(float(v)) for v in entry.values())
+        except OverflowError:
+            finite = False
+        if not finite:
             raise WorkloadError(f"job class {i}: every value must be finite")
         if not isinstance(entry["class_id"], int):
             raise WorkloadError(f"job class {i}: class_id must be an integer")
@@ -103,10 +107,6 @@ def load_job_classes(path) -> tuple[JobClassSpec, ...]:
             raise WorkloadError(f"job class {i}: medians and the mean interarrival gap "
                                 f"must be positive and sigmas nonnegative")
     return tuple(JobClassSpec(**entry) for entry in entries)
-
-
-def dump_job_classes(classes: tuple[JobClassSpec, ...]) -> str:
-    return json.dumps({"classes": [asdict(c) for c in classes]}, indent=2)
 
 
 def generate_workload(

@@ -134,3 +134,31 @@ def test_header_missing_a_key_rejected(tmp_path, key):
     resave_with_header(tmp_path / "c.npz", lambda h: h.pop(key))
     with pytest.raises(TrainingError, match=rf"header is missing \['{key}'\]"):
         load_checkpoint(tmp_path / "c.npz")
+
+
+def drop_mean(header):
+    del header["feature_std"]["mean"]
+
+
+def set_std(key, values):
+    return lambda header: header[key].update(std=values)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.update(config=5), "config 5 is not a JSON object"),
+    (drop_mean, "feature_std needs 'mean' and 'std'"),
+    (set_std("target_std", ["a", "b"]), "target_std needs 'mean' and 'std'"),
+    (set_std("feature_std", [1.0, True, 1.0, 1.0, 1.0]), "feature_std needs 'mean' and 'std'"),
+    (set_std("feature_std", 1.0), "feature_std needs 'mean' and 'std'"),
+    (lambda h: h.update(feature_std=[0.0]), "feature_std needs 'mean' and 'std'"),
+    (lambda h: h.update(seed="x"), "seed 'x' is not an integer"),
+    (lambda h: h.update(seed=True), "seed True is not an integer"),
+    (lambda h: h.update(seed=1.5), "seed 1.5 is not an integer"),
+    (lambda h: h.update(scenario=3), "scenario 3 is not a string"),
+], ids=["config_int", "std_without_mean", "std_strings", "std_bool", "std_scalar",
+        "std_not_object", "seed_str", "seed_bool", "seed_float", "scenario_int"])
+def test_header_of_wrong_type_rejected(tmp_path, edit, match):
+    save_checkpoint(tmp_path / "c.npz", checkpoint())
+    resave_with_header(tmp_path / "c.npz", edit)
+    with pytest.raises(TrainingError, match=match):
+        load_checkpoint(tmp_path / "c.npz")

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from simsurrogate import cli
 from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
-from simsurrogate.workload import DEFAULT_JOB_CLASSES, dump_job_classes
+from simsurrogate.workload import DEFAULT_JOB_CLASSES
 
 TINY = {
     "scenario": "heterogeneous",
@@ -190,6 +190,19 @@ class TestErrorPaths:
         assert message in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_job_class_beyond_float_range_exits_3_before_writing(self, tmp_path):
+        # JSON keeps a 401-digit integer as a Python int, which float() cannot hold
+        table = tmp_path / "classes.json"
+        table.write_text(json.dumps(
+            {"classes": [asdict(DEFAULT_JOB_CLASSES[0]) | {"flops_median": 10**400}]}))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(TINY | {"out": str(tmp_path / "out"),
+                                           "job_classes": str(table)}))
+        result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
+        assert result.exit_code == 3
+        assert "must be finite" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_empty_train_split_exits_5_before_writing(self, tmp_path):
         # one simulation per job count, and 0.3 rounds down to none of it
         path = tmp_path / "m.json"
@@ -231,7 +244,8 @@ class TestBench:
         model.mkdir(parents=True)
         shutil.copy(pipeline_dir / "out" / "heterogeneous" / "model" / "checkpoint.npz", model)
         classes = DEFAULT_JOB_CLASSES[:2]
-        (tmp_path / "classes.json").write_text(dump_job_classes(classes))
+        (tmp_path / "classes.json").write_text(
+            json.dumps({"classes": [asdict(c) for c in classes]}))
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(TINY | {
             "out": str(tmp_path / "out"), "job_counts": [20, 10, 20],

@@ -2,12 +2,13 @@
 invariant audit."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from simsurrogate.engine import run_simulation
 from simsurrogate.errors import WorkloadError
-from simsurrogate.platform import builtin_platform, serialize_platform
+from simsurrogate.platform import builtin_platform, platform_from_doc, serialize_platform
 from simsurrogate.scenarios import SCENARIOS, get_scenario
 from simsurrogate.workload import generate_workload
 
@@ -52,3 +53,62 @@ def test_philox_codes_are_distinct():
 def test_unknown_name_is_a_workload_error(name):
     with pytest.raises(WorkloadError, match="unknown scenario"):
         get_scenario(name)
+
+
+# Longer runs pinned the same way: sha256 of repr(traces) for simulation 0 at
+# seed 1.  "probe-star" is 1,000 heterogeneous jobs, submissions scaled by
+# 11/48, on a star of 48 24-core workers behind one shared storage uplink: it
+# keeps dozens of routes open at once, which neither preset does.
+RUN_GOLDEN = {
+    "homogeneous-10k": "a18847619157452974be8fd52a02a2f1f726a592a5f93b03781bb03a72c5deec",
+    "heterogeneous-10k": "fb723e6ac87ff18e7cf88ce707e8a38c23289233571e34dcd2b335fae84a311a",
+    "probe-star": "a24f3e7c8c6b2d17bb39c73b99991746296e0fabb708736648f1bc22098a830e",
+}
+PROBE_WORKERS = 48
+
+
+def probe_star_platform():
+    storage = get_scenario("heterogeneous").storage
+    workers = [f"w{i:02d}" for i in range(PROBE_WORKERS)]
+    nodes = [{"id": w, "role": "worker", "cores": 24, "core_speed_flops": 1e9}
+             for w in workers]
+    nodes.append({"id": storage, "role": "storage", "disk_read_bw_bps": 2.5e8,
+                  "disk_write_bw_bps": 2.5e8, "storage_capacity_bytes": 10**15})
+    links = [{"id": f"link_{n}", "bandwidth_bps": 1.25e8, "latency_s": 1e-4}
+             for n in workers + [storage]]
+    routes = []
+    for w in workers:
+        hops = [f"link_{storage}", f"link_{w}"]
+        routes += [{"src": storage, "dst": w, "links": hops},
+                   {"src": w, "dst": storage, "links": hops[::-1]}]
+    return platform_from_doc({"nodes": nodes, "links": links, "routes": routes})
+
+
+@pytest.fixture(scope="module")
+def hetero_10k():
+    jobs, datasets = generate_workload("heterogeneous", 10_000, 0, 1)
+    platform = builtin_platform("heterogeneous")
+    return platform, jobs, datasets, run_simulation(platform, jobs, datasets)
+
+
+def test_homogeneous_10k_is_bit_identical():
+    jobs, datasets = generate_workload("homogeneous", 10_000, 0, 1)
+    traces = run_simulation(builtin_platform("homogeneous"), jobs, datasets)
+    assert sha256(repr(traces)) == RUN_GOLDEN["homogeneous-10k"]
+
+
+def test_heterogeneous_10k_is_bit_identical(hetero_10k):
+    assert sha256(repr(hetero_10k[3])) == RUN_GOLDEN["heterogeneous-10k"]
+
+
+def test_heterogeneous_10k_audit_changes_nothing(hetero_10k):
+    platform, jobs, datasets, traces = hetero_10k
+    assert run_simulation(platform, jobs, datasets, audit=True) == traces
+
+
+def test_probe_star_is_bit_identical():
+    jobs, datasets = generate_workload("heterogeneous", 1000, 0, 1)
+    jobs = [replace(j, submission_time_s=j.submission_time_s * 11 / PROBE_WORKERS)
+            for j in jobs]
+    traces = run_simulation(probe_star_platform(), jobs, datasets)
+    assert sha256(repr(traces)) == RUN_GOLDEN["probe-star"]

@@ -12,7 +12,6 @@ from simsurrogate.workload import (
     DEFAULT_JOB_CLASSES,
     EXTRAPOLATION_JOB_COUNT,
     TRAIN_JOB_COUNTS,
-    dump_job_classes,
     generate_workload,
     load_job_classes,
 )
@@ -95,7 +94,7 @@ def test_suite_sims_per_batch_override():
 
 def test_job_classes_round_trip(tmp_path):
     path = tmp_path / "classes.json"
-    path.write_text(dump_job_classes(DEFAULT_JOB_CLASSES))
+    path.write_text(json.dumps({"classes": [asdict(c) for c in DEFAULT_JOB_CLASSES]}))
     assert load_job_classes(path) == DEFAULT_JOB_CLASSES
 
 
