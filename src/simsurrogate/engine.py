@@ -22,9 +22,9 @@ trace, free the core).  Transfers are finished before events due at once.
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
 from collections import deque
 from dataclasses import dataclass, field, fields
+from heapq import heapify, heappop, heappush
 
 from .errors import SimulationError
 from .platform import PlatformSpec
@@ -241,8 +241,7 @@ class _Simulation:
             worker_id=job.worker,
         )
         self.free_cores[job.worker] += 1
-        if self.queue:
-            self._try_dispatch()
+        self._try_dispatch()
 
     # Main loop ------------------------------------------------------------
     def run(self) -> list[TraceRecord]:
