@@ -14,6 +14,11 @@ attempted and failed operation totals, and for each metric each side's median
 and quartiles and the number of pairs the change won. Only pairs whose two
 runs exited 0 and passed their checks count toward the medians and wins. It
 is rewritten after every pair, so an interrupted series keeps its runs.
+
+    python scripts/bench_pairs.py --ratio-table [BENCH_<rev>.json]
+
+prints README.md's simulator-to-surrogate ratio table instead, from the given
+file or else the most recently added `BENCH_*.json` in git that has one.
 """
 
 from __future__ import annotations
@@ -124,19 +129,70 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+ARCH_LABELS = {"bigru": "BiGRU", "bilstm": "BiLSTM", "transformer": "transformer"}
+
+
+def ratio_table(path: Path) -> str:
+    """README.md's ratio table: per workload and surrogate, the median over
+    the change side's usable runs of predict_rows_per_s / sim_jobs_per_s,
+    with the file and host it comes from."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    host = doc["host"]
+    columns = {}
+    for workload, record in doc["workloads"].items():
+        runs = [r["result"]["metrics"] for r in record["runs"]
+                if r["side"] == "change" and usable(r)]
+        columns[workload] = (len(runs), {arch: np.median(
+            [m[f"predict_rows_per_s.{arch}"]["value"] / m["sim_jobs_per_s"]["value"]
+             for m in runs]) for arch in ARCH_LABELS})
+    lines = [f"Medians over the change side's runs in `{path.name}` "
+             f"({', '.join(f'{n} on `{w}`' for w, (n, _) in columns.items())}); host: "
+             f"{host['cpu_count']} CPUs, {host['platform']}, Python {host['python']}, "
+             f"numpy {host['numpy']}, {host['blas']['name']} {host['blas']['version']}.",
+             "",
+             "| Surrogate | " + " | ".join(f"`{w}`" for w in columns) + " |",
+             "|---|" + "---|" * len(columns)]
+    for arch, label in ARCH_LABELS.items():
+        cells = " | ".join(f"{ratios[arch]:.1f}x" for _, ratios in columns.values())
+        lines.append(f"| {label} | {cells} |")
+    return "\n".join(lines) + "\n"
+
+
+def newest_ratio_bench() -> Path:
+    """The most recently added BENCH file (staged first, then by git history)
+    whose runs record both sides of the ratio."""
+    staged = git("diff", "--cached", "--name-only", "--diff-filter=A", "--", "BENCH_*.json")
+    added = git("log", "--diff-filter=A", "--name-only", "--format=", "--", "BENCH_*.json")
+    for name in (staged + "\n" + added).split():
+        doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
+        metrics = [r["result"]["metrics"] for w in doc["workloads"].values()
+                   for r in w["runs"] if r["result"] is not None]
+        if metrics and all("sim_jobs_per_s" in m for m in metrics):
+            return ROOT / name
+    raise FileNotFoundError("no BENCH_*.json with sim_jobs_per_s runs in git")
+
+
 def main() -> None:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="revision of the parent side")
+    ap.add_argument("--parent", help="revision of the parent side (required for pairs)")
     ap.add_argument("--workload", action="append",
                     choices=[w["name"] for w in bench["workloads"]],
                     help="repeatable; every workload of BENCHMARK.json by default")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, help="benchmark seed (required for pairs)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, default=None,
                     help="output file; BENCH_<rev>.json (BENCH_<rev>_trace.json traced) by default")
+    ap.add_argument("--ratio-table", nargs="?", type=Path, const=True, default=None,
+                    metavar="BENCH_FILE", help="print README.md's ratio table and exit")
     args = ap.parse_args()
+    if args.ratio_table is not None:
+        print(ratio_table(newest_ratio_bench() if args.ratio_table is True else args.ratio_table),
+              end="")
+        return
+    if args.parent is None or args.seed is None:
+        ap.error("--parent and --seed are required to run pairs")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalError
-from .nn.models import ModelConfig, model_forward_infer
-from .preprocess import Standardizer, make_windows, standardize_table, unwindow_aligned
+from .nn.models import ModelConfig, inference_chunk, model_forward_infer
+from .preprocess import Standardizer, make_windows, unwindow_aligned
 from .traceio import SampleTable
 
 KDE_BANDWIDTH_FLOOR = 1e-9
@@ -129,15 +129,16 @@ def predict_rows(config: ModelConfig, params: dict[str, np.ndarray],
                  target_std: Standardizer) -> tuple[np.ndarray, float]:
     """Original-scale predictions aligned with table rows, plus wall-clock."""
     t0 = time.perf_counter()
-    scaled = standardize_table(table, feature_std, target_std)
+    # only the features are read: the targets go in as a zero-width column block
+    scaled = SampleTable(table.scenario, table.simulation_ids, table.job_indices,
+                         feature_std.transform(table.features), np.empty((len(table), 0)),
+                         table.feature_names, ())
     batch = make_windows(scaled, config.window_size, config.window_overlap)
     preds = np.empty((len(batch), config.window_size, config.output_dim))
-    # outputs are per-window, so inference may batch wider than training did
-    step = max(256, config.batch_size)
-    for start in range(0, len(batch), step):
-        ix = np.arange(start, min(start + step, len(batch)))
-        sub = batch.select(ix)
-        preds[ix] = model_forward_infer(config, params, sub.windows, sub.mask)
+    step = inference_chunk(config)
+    for a in range(0, len(batch), step):
+        b = min(a + step, len(batch))
+        preds[a:b] = model_forward_infer(config, params, batch.windows[a:b], batch.mask[a:b])
     out = unwindow_aligned(preds, batch.provenance,
                            table.simulation_ids, table.job_indices)
     out = target_std.inverse_transform(out)

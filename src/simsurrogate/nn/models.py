@@ -459,3 +459,27 @@ def model_forward_infer(config: ModelConfig, params: dict[str, np.ndarray],
                         windows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Gradient-free forward pass: model_forward on the plain parameter arrays."""
     return model_forward(config, params, windows, mask)
+
+
+# Inference chunks -------------------------------------------------------------
+#
+# Outputs are per-window, so prediction may batch wider than training did.  A
+# transformer chunk holds as many windows as keep its widest float64
+# activation within INFERENCE_CHUNK_BYTES: the [windows*T, 4h] feed-forward
+# hidden, or the [windows, heads, T, T] scores once heads*T passes 4h.  At
+# h=32, T=16 that is 64 windows.  On a Xeon with a 2 MiB per-core L2, a
+# 256-window chunk's 4 MiB hidden predicted 10k rows about 1.3x slower and
+# page-faulted on every call.  The recurrent models run 256 windows, or
+# training's batch size if larger: 64 or 113 windows measured no faster.
+
+INFERENCE_CHUNK_BYTES = 1 << 20
+RNN_INFERENCE_WINDOWS = 256
+
+
+def inference_chunk(config: ModelConfig) -> int:
+    """Windows per model_forward_infer call when predicting many windows."""
+    if config.architecture != "transformer":
+        return max(RNN_INFERENCE_WINDOWS, config.batch_size)
+    seq_len = config.window_size
+    widest = seq_len * max(4 * config.hidden_size, config.num_heads * seq_len) * 8
+    return max(1, INFERENCE_CHUNK_BYTES // widest)

@@ -10,6 +10,7 @@ on a scenario's name; they look the entry up with ``get_scenario``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -116,22 +117,32 @@ def _homogeneous_demands(rng: np.random.Generator, n_jobs: int,
                              HOMOGENEOUS_OUTPUT_BYTES, 0), n_jobs)
 
 
-def _lognormal(rng: np.random.Generator, median: float, sigma: float) -> float:
-    return max(float(rng.lognormal(mean=np.log(median), sigma=sigma)), _TINY)
-
-
 def _heterogeneous_demands(rng: np.random.Generator, n_jobs: int,
                            classes: tuple) -> Iterator[Demand]:
     """A uniformly drawn class per job, an exponential gap after the previous
-    submission, and lognormal flops, input and output sizes."""
+    submission, and lognormal flops, input and output sizes.
+
+    The draws are numpy's own, written out on scalars: `exponential(scale)`
+    is `scale * standard_exponential()` and `lognormal(mean, sigma)` is
+    `exp(mean + sigma * standard_normal())`.  Each log-median is taken once
+    with `np.log`, as `lognormal`'s callers passed it, so every bit matches.
+    """
+    params = [(c.mean_interarrival_s,
+               float(np.log(c.flops_median)), c.flops_sigma,
+               float(np.log(c.input_size_median_bytes)), c.input_size_sigma,
+               float(np.log(c.output_size_median_bytes)), c.output_size_sigma,
+               c.class_id) for c in classes]
+    integers, gap, normal, exp = (rng.integers, rng.standard_exponential,
+                                  rng.standard_normal, math.exp)
+    n_classes = len(classes)
     t = 0.0
     for _ in range(n_jobs):
-        cls = classes[int(rng.integers(len(classes)))]
-        t += max(float(rng.exponential(cls.mean_interarrival_s)), _TINY)
-        flops = _lognormal(rng, cls.flops_median, cls.flops_sigma)
-        in_size = _lognormal(rng, cls.input_size_median_bytes, cls.input_size_sigma)
-        out_size = _lognormal(rng, cls.output_size_median_bytes, cls.output_size_sigma)
-        yield t, flops, in_size, out_size, cls.class_id
+        scale, mu_f, s_f, mu_i, s_i, mu_o, s_o, class_id = params[int(integers(n_classes))]
+        t += max(scale * gap(), _TINY)
+        flops = max(exp(mu_f + s_f * normal()), _TINY)
+        in_size = max(exp(mu_i + s_i * normal()), _TINY)
+        out_size = max(exp(mu_o + s_o * normal()), _TINY)
+        yield t, flops, in_size, out_size, class_id
 
 
 # simulation_id is carried for bookkeeping but never fed to a model;

@@ -6,11 +6,13 @@ import pytest
 from rnn_reference import gru_cell, reference_direction, reference_forward, rnn_params, stack
 
 from simsurrogate.errors import ModelConfigError
+from simsurrogate import evaluate
 from simsurrogate.evaluate import predict_rows
 from simsurrogate.nn.autodiff import Tensor, concat, softmax
 from simsurrogate.nn.models import (
     ModelConfig,
     bidirectional_forward,
+    inference_chunk,
     init_params,
     linear_forward,
     model_forward,
@@ -479,17 +481,15 @@ class TestInferenceForward:
         fast = model_forward_infer(config, params, windows, mask)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("arch", ["bigru", "bilstm", "transformer"])
-    def test_predict_rows_chunks_match_one_autodiff_forward(self, arch):
-        """predict_rows runs inference in chunks of windows; over more windows
-        than one chunk, with overlapping windows and a partially masked last
-        window, it must equal one autodiff forward over every window."""
-        config = tiny_config(arch, window_overlap=1, num_layers=1)
-        params = init_params(config)
+    @staticmethod
+    def chunked_table(config, n_windows):
+        """Three simulations, the last partly padded, with more than n_windows
+        windows; features and targets are random."""
+        stride = config.window_size - config.window_overlap
         rng = np.random.default_rng(13)
-        lengths = (401, 383, 8)
+        lengths = (stride * n_windows + config.window_overlap + 2, 383, 8)
         n_rows = sum(lengths)
-        table = SampleTable(
+        return SampleTable(
             "heterogeneous",
             np.concatenate([np.full(n, sid, dtype=np.int64) for sid, n in enumerate(lengths)]),
             np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
@@ -498,16 +498,56 @@ class TestInferenceForward:
             ("f0", "f1", "f2"),
             ("t0", "t1"),
         )
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm", "transformer"])
+    def test_predict_rows_chunks_match_one_autodiff_forward(self, arch):
+        """predict_rows runs inference in chunks of windows; over two chunks
+        and a ragged third, with overlapping windows and a partially masked
+        last window, it must equal one autodiff forward over every window."""
+        config = tiny_config(arch, window_overlap=1, num_layers=1)
+        params = init_params(config)
+        chunk = inference_chunk(config)
+        table = self.chunked_table(config, 2 * chunk)
         f_std = fit_standardizer(table.features)
         t_std = fit_standardizer(table.targets)
         scaled = standardize_table(table, f_std, t_std)
         batch = make_windows(scaled, config.window_size, config.window_overlap)
-        assert len(batch) > 256 and not batch.mask[-1].all()
+        assert len(batch) > 2 * chunk and len(batch) % chunk and not batch.mask[-1].all()
         whole = model_forward(config, wrap_params(params), batch.windows, batch.mask).data
         expected = t_std.inverse_transform(unwindow_aligned(
             whole, batch.provenance, table.simulation_ids, table.job_indices))
         got, _ = predict_rows(config, params, table, f_std, t_std)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, smallest", [("bigru", 2), ("bilstm", 2), ("transformer", 1)])
+    def test_predict_rows_bit_identical_across_chunk_sizes(self, arch, smallest, monkeypatch):
+        """A window's arithmetic does not depend on which chunk it runs in.
+        A recurrent chunk of one window is left out: numpy sends its
+        [1, h] @ [h, h] steps to BLAS's matrix-vector routine, which sums in
+        another order and moves the last bit."""
+        config = tiny_config(arch, window_overlap=1, num_layers=1)
+        params = init_params(config)
+        table = self.chunked_table(config, 40)
+        f_std = fit_standardizer(table.features)
+        t_std = fit_standardizer(table.targets)
+        got = []
+        for chunk in (smallest, 7, len(table)):
+            monkeypatch.setattr(evaluate, "inference_chunk", lambda _config, n=chunk: n)
+            got.append(predict_rows(config, params, table, f_std, t_std)[0])
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+    @pytest.mark.parametrize("arch, hidden, heads, window, chunk", [
+        ("bigru", 24, 2, 16, 256),
+        ("bilstm", 32, 2, 16, 256),
+        ("transformer", 32, 2, 16, 64),  # the [64 * 16, 128] hidden is 1 MiB
+        ("transformer", 8, 2, 16, 256),
+        ("transformer", 8, 4, 64, 8),  # 4 heads of 64 x 64 scores outgrow the 4h = 32 hidden
+        ("transformer", 2048, 2, 256, 1),
+    ])
+    def test_inference_chunk(self, arch, hidden, heads, window, chunk):
+        config = ModelConfig(arch, input_dim=3, output_dim=2, hidden_size=hidden,
+                             num_heads=heads, window_size=window)
+        assert inference_chunk(config) == chunk
 
     def test_feature_dim_mismatch(self):
         config = tiny_config("bigru")

@@ -8,10 +8,12 @@ import pytest
 
 from simsurrogate.cli import ExperimentManifest, _suite
 from simsurrogate.errors import WorkloadError
+from simsurrogate.scenarios import _TINY, _heterogeneous_demands
 from simsurrogate.workload import (
     DEFAULT_JOB_CLASSES,
     EXTRAPOLATION_JOB_COUNT,
     TRAIN_JOB_COUNTS,
+    JobClassSpec,
     generate_workload,
     load_job_classes,
 )
@@ -73,6 +75,42 @@ def test_all_samples_strictly_positive():
 def test_class_ids_cover_all_classes():
     jobs, _ = generate_workload("heterogeneous", 300, 0, 1)
     assert set(j.class_id for j in jobs) == set(range(5))
+
+
+def reference_heterogeneous_demands(rng, n_jobs, classes):
+    """The heterogeneous sampler written with numpy's own scalar draws."""
+    def lognormal(median, sigma):
+        return max(float(rng.lognormal(mean=np.log(median), sigma=sigma)), _TINY)
+
+    t = 0.0
+    for _ in range(n_jobs):
+        cls = classes[int(rng.integers(len(classes)))]
+        t += max(float(rng.exponential(cls.mean_interarrival_s)), _TINY)
+        flops = lognormal(cls.flops_median, cls.flops_sigma)
+        in_size = lognormal(cls.input_size_median_bytes, cls.input_size_sigma)
+        out_size = lognormal(cls.output_size_median_bytes, cls.output_size_sigma)
+        yield t, flops, in_size, out_size, cls.class_id
+
+
+# sigma 0, and medians and gaps under _TINY, beside an ordinary class
+EDGE_CLASSES = (
+    JobClassSpec(0, 1e-12, 0.0, 3.0e8, 0.0, 1e-10, 0.5, 1e-11),
+    JobClassSpec(7, 2.5e10, 1.5, 5e-10, 2.0, 4.0e7, 0.0, 10.0),
+)
+
+
+@pytest.mark.parametrize("classes", [DEFAULT_JOB_CLASSES, EDGE_CLASSES],
+                         ids=["default", "edge"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_heterogeneous_draws_match_numpy_samplers(seed, classes):
+    """The scalar draws give every bit numpy's exponential and lognormal
+    give, and leave the generator in the same state."""
+    fast, slow = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+    got = list(_heterogeneous_demands(fast, 3000, classes))
+    assert repr(got) == repr(list(reference_heterogeneous_demands(slow, 3000, classes)))
+    assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
+    if classes is EDGE_CLASSES:
+        assert {_TINY} <= {v for job in got for v in job[1:4]}
 
 
 def test_suite_contents():
