@@ -37,7 +37,7 @@ EV_COMPUTE_DONE = 3
 EV_OUTPUT_DONE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     simulation_id: int
     job_index: int

@@ -138,7 +138,13 @@ def predict_rows(config: ModelConfig, params: dict[str, np.ndarray],
     step = inference_chunk(config)
     for a in range(0, len(batch), step):
         b = min(a + step, len(batch))
-        preds[a:b] = model_forward_infer(config, params, batch.windows[a:b], batch.mask[a:b])
+        windows, mask = batch.windows[a:b], batch.mask[a:b]
+        if b - a == 1:
+            # numpy sends a lone window's [1, h] matmuls to BLAS's
+            # matrix-vector routine, which sums in another order: run two
+            # copies so the window gets the arithmetic of any wider chunk
+            windows, mask = np.repeat(windows, 2, axis=0), np.repeat(mask, 2, axis=0)
+        preds[a:b] = model_forward_infer(config, params, windows, mask)[:b - a]
     out = unwindow_aligned(preds, batch.provenance,
                            table.simulation_ids, table.job_indices)
     out = target_std.inverse_transform(out)

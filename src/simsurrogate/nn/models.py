@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ModelConfigError
-from .autodiff import Tensor, concat, fused_node, masked_fill, softmax, tanh
+from .autodiff import Tensor, concat, fused_node, masked_fill, softmax
 
 ARCHITECTURES = ("bigru", "bilstm", "transformer")
 
@@ -114,20 +114,38 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 # Each layer below is written once.  Given Tensor params, model_forward builds
 # the autodiff tape that training backpropagates; given the plain ndarray
 # params, the same code runs as numpy and builds no Tensor (prediction and
-# eval loss).  Only the leaf kernels choose their code by the array's type:
-# on ndarrays, layer_norm, _gelu and softmax run in-place numpy bodies, which
-# only ever write buffers that nothing else reads.  `+=` likewise adds in
-# place on an ndarray, while on a Tensor (which has no __iadd__) `h += y`
-# rebinds h to a new tape node.  A recurrent direction is one kernel on both
-# routes: its forward is always numpy, and on Tensors it adds a single tape
-# node with a hand-written backward (see rnn_direction).
+# eval loss).  The linear layer, layer norm, GELU and a recurrent direction
+# are kernels whose forward is always numpy: on ndarrays they return the
+# result, and given any Tensor operand they add one tape node with a
+# hand-written backward (fused_node) over what the forward kept.  On the
+# numpy route GELU and softmax overwrite their input, and `+=` adds in place;
+# on a Tensor (which has no __iadd__) `h += y` rebinds h to a new tape node.
+
+
+def _arrays(operands) -> list:
+    return [a.data if isinstance(a, Tensor) else a for a in operands]
+
+
+def _on_tape(operands) -> bool:
+    return any(isinstance(a, Tensor) for a in operands)
+
 
 def linear_forward(x, w, b):
-    if x.shape[-1] != w.shape[0]:
-        raise ModelConfigError(f"linear shape mismatch: {x.shape} @ {w.shape}")
-    out = x @ w
-    out += b
-    return out
+    """x @ w + b over x's last axis.  The backward is g @ w.T, x.T @ g and
+    g's column sums: the operations the matmul and bias-add nodes did."""
+    x_d, w_d, b_d = _arrays((x, w, b))
+    if x_d.shape[-1] != w_d.shape[0]:
+        raise ModelConfigError(f"linear shape mismatch: {x_d.shape} @ {w_d.shape}")
+    out = x_d @ w_d
+    out += b_d
+    if not _on_tape((x, w, b)):
+        return out
+
+    def backward(g):
+        rows = g.reshape(-1, g.shape[-1])
+        return g @ w_d.T, x_d.reshape(len(rows), -1).T @ rows, rows.sum(axis=0)
+
+    return fused_node(out, (x, w, b), backward)
 
 
 # Recurrent layers -----------------------------------------------------------
@@ -310,7 +328,7 @@ def rnn_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
     cell = RNN_CELLS[kind]
     operands = [x, p[f"{prefix}.W"], *(p[f"{prefix}.{n}"] for n, _ in cell.u_blocks),
                 p[f"{prefix}.b"]]
-    x_d, w, *us, b = [a.data if isinstance(a, Tensor) else a for a in operands]
+    x_d, w, *us, b = _arrays(operands)
     seq_len, batch, in_dim = x_d.shape
     if in_dim != w.shape[0]:
         raise ModelConfigError(f"{prefix}: input width {in_dim} != W rows {w.shape[0]}")
@@ -319,7 +337,7 @@ def rnn_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
     act += b.reshape(-1, 1, hid)  # x @ W + b: [T, gates, batch, h]
     order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
     out, saved = cell.scan(act, order, *us)
-    if not any(isinstance(a, Tensor) for a in operands):
+    if not _on_tape(operands):
         return out
 
     def backward(dout):
@@ -344,38 +362,76 @@ def bidirectional_forward(x, p: dict, layer_prefix: str, kind: str):
 
 
 def layer_norm(x, g, b, eps: float = 1e-6):
-    if isinstance(x, Tensor):
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + eps).sqrt() * g + b
-    out = x - x.mean(axis=-1, keepdims=True)  # a new buffer; x is left as it is
-    var = (out * out).mean(axis=-1, keepdims=True)
-    var += eps
-    out /= np.sqrt(var, out=var)
-    out *= g
-    out += b
-    return out
+    """(x - mean) / sigma * g + b over the last axis, sigma = sqrt(var + eps).
+
+    The backward keeps xhat = (x - mean) / sigma and sigma:
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma with
+    dxhat = dy * g, and dg, db sum dy * xhat and dy over the leading axes."""
+    x_d, g_d, b_d = _arrays((x, g, b))
+    xhat = x_d - x_d.mean(axis=-1, keepdims=True)  # a new buffer; x is left as it is
+    sigma = (xhat * xhat).mean(axis=-1, keepdims=True)
+    sigma += eps
+    xhat /= np.sqrt(sigma, out=sigma)
+    if not _on_tape((x, g, b)):
+        xhat *= g_d
+        xhat += b_d
+        return xhat
+    out = xhat * g_d
+    out += b_d
+
+    def backward(dy):
+        width = dy.shape[-1]
+        dxhat = dy * g_d
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dxhat *= xhat
+        dx -= xhat * dxhat.mean(axis=-1, keepdims=True)
+        dx /= sigma
+        dg = (dy * xhat).reshape(-1, width).sum(axis=0)
+        return dx, dg, dy.reshape(-1, width).sum(axis=0)
+
+    return fused_node(out, (x, g, b), backward)
+
+
+_GELU_A, _GELU_C = 0.044715, 0.7978845608028654
 
 
 def _gelu(x):
-    """tanh-approximate GELU; smooth, so finite-difference checks stay tight.
+    """tanh-approximate GELU, 0.5 * x * (1 + tanh(c * (x + a * x^3))); smooth,
+    so finite-difference checks stay tight.
 
-    An ndarray is overwritten with the result.  The cube is x * x * x:
-    numpy sends x**3 through pow, which costs several times the rest."""
-    if isinstance(x, Tensor):
-        inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
-        return 0.5 * x * (1.0 + tanh(inner))
-    inner = x * x
-    inner *= x
-    inner *= 0.044715
-    inner += x
-    inner *= 0.7978845608028654
+    An ndarray is overwritten with the result.  A Tensor's node keeps
+    1 + tanh for the backward:
+    0.5 * (1 + tanh) + 0.5 * x * (1 - tanh^2) * c * (1 + 3a * x^2).
+    The cube is x * x * x: numpy sends x**3 through pow, which costs several
+    times the rest."""
+    on_tape = isinstance(x, Tensor)
+    x_d = x.data if on_tape else x
+    inner = x_d * x_d
+    inner *= x_d
+    inner *= _GELU_A
+    inner += x_d
+    inner *= _GELU_C
     np.tanh(inner, out=inner)
     inner += 1.0
-    x *= 0.5
-    x *= inner
-    return x
+    out = np.multiply(x_d, 0.5, out=None if on_tape else x_d)
+    out *= inner
+    if not on_tape:
+        return out
+
+    def backward(g):
+        d = x_d * x_d
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        d *= x_d
+        d *= 2.0 - inner
+        d *= inner  # now x * c * (1 + 3a * x^2) * (1 - tanh^2)
+        d += inner
+        d *= 0.5
+        d *= g
+        return (d,)
+
+    return fused_node(out, (x,), backward)
 
 
 def multi_head_attention(x, p: dict, prefix: str, num_heads: int,

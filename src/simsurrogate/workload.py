@@ -17,7 +17,7 @@ from .errors import WorkloadError
 from .scenarios import get_scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     simulation_id: int
     job_index: int
@@ -28,14 +28,14 @@ class JobSpec:
     class_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileSpec:
     file_id: str
     size_bytes: float
     location: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetSpec:
     files: tuple[FileSpec, ...]
 

@@ -1,12 +1,35 @@
-"""Tape-built recurrent reference: the per-gate GRU and LSTM cells, run one
-step at a time on the autodiff tape over slices of the fused parameters.
-Tests hold the hand-written BPTT in `nn.models` to these. The tape ops only
-this reference uses, `sigmoid` and `stack`, live here too."""
+"""Tape-built references the tests hold the hand-written kernels in
+`nn.models` to.
+
+- The linear layer, layer norm and GELU composed of elementwise tape ops, as
+  `nn.models` wrote them before each became one node with its own backward.
+- The per-gate GRU and LSTM cells, run one step at a time on the autodiff
+  tape over slices of the fused parameters, for the hand-written BPTT.
+
+The tape ops only these references use, `sigmoid` and `stack`, live here
+too."""
 
 import numpy as np
 
 from simsurrogate.nn.autodiff import Tensor, concat, tanh
-from simsurrogate.nn.models import RNN_CELLS, linear_forward
+from simsurrogate.nn.models import RNN_CELLS
+
+
+def composed_linear(x, w, b):
+    """x @ w + b as a matmul node and a bias-add node."""
+    return x @ w + b
+
+
+def composed_layer_norm(x, g, b, eps: float = 1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * g + b
+
+
+def composed_gelu(x):
+    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + tanh(inner))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -75,9 +98,9 @@ def reference_direction(x, p: dict, prefix: str, kind: str, reverse: bool = Fals
 def reference_forward(config, p: dict, windows: np.ndarray):
     """model_forward for a recurrent config, built from the reference cells."""
     x = Tensor(np.asarray(windows, dtype=float).transpose(1, 0, 2))
-    h = linear_forward(x, p["embed.W"], p["embed.b"])
+    h = composed_linear(x, p["embed.W"], p["embed.b"])
     for layer in range(config.num_layers):
         h = concat([reference_direction(h, p, f"rnn{layer}.fwd", config.architecture),
                     reference_direction(h, p, f"rnn{layer}.bwd", config.architecture,
                                         reverse=True)], axis=-1)
-    return linear_forward(h, p["out.W"], p["out.b"]).transpose((1, 0, 2))
+    return composed_linear(h, p["out.W"], p["out.b"]).transpose((1, 0, 2))

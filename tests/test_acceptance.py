@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from rnn_reference import rnn_params
+from tape_reference import rnn_params
 
 from simsurrogate.engine import run_simulation
 from simsurrogate.evaluate import default_grid, evaluate_model, kde, predict_rows, r_squared

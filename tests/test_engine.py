@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,48 @@ def job(idx, flops=2.4e11, files=(), out=0.0, sub=0.0, sim=0):
 
 def dataset(*files):
     return DatasetSpec(files=tuple(FileSpec(fid, size, "s0") for fid, size in files))
+
+
+def record_cases():
+    """One of each record type, the trace record from a real run."""
+    jobs = [job(0, files=("a",), out=1e6, sub=0.5)]
+    data = dataset(("a", 2e8))
+    trace = run_simulation(single_worker_platform(), jobs, data)[0]
+    return [jobs[0], data.files[0], data, trace]
+
+
+RECORD_REPRS = (
+    "JobSpec(simulation_id=0, job_index=0, submission_time_s=0.5, flops=240000000000.0, "
+    "input_files=('a',), output_files_size_bytes=1000000.0, class_id=0)",
+    "FileSpec(file_id='a', size_bytes=200000000.0, location='s0')",
+    "DatasetSpec(files=(FileSpec(file_id='a', size_bytes=200000000.0, location='s0'),))",
+    "TraceRecord(simulation_id=0, job_index=0, submission_time_s=0.5, start_time_s=0.5, ",
+)
+
+
+@pytest.mark.parametrize("index", range(4), ids=["JobSpec", "FileSpec", "DatasetSpec",
+                                                  "TraceRecord"])
+def test_records_are_slotted_frozen_values(index):
+    """Jobs, files, datasets and trace records carry no per-instance dict,
+    and compare, hash, copy, print and pickle (parallel simulate ships traces
+    between processes) as frozen dataclasses do."""
+    record = record_cases()[index]
+    names = [f.name for f in dataclasses.fields(record)]
+    values = tuple(getattr(record, n) for n in names)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], values[0])
+    # an unknown name is refused too; CPython's frozen slotted __setattr__
+    # reports it as a TypeError from super() rather than FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        record.extra = 1
+    assert repr(record).startswith(RECORD_REPRS[index])
+    assert hash(record) == hash(values)
+    same = dataclasses.replace(record)
+    assert same is not record and same == record and hash(same) == hash(record)
+    assert repr(same) == repr(record)
+    assert dataclasses.replace(record, **{names[-1]: None}) != record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_single_job_compute_closed_form():

@@ -3,7 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from rnn_reference import gru_cell, reference_direction, reference_forward, rnn_params, stack
+from tape_reference import (
+    composed_gelu,
+    composed_layer_norm,
+    composed_linear,
+    gru_cell,
+    reference_direction,
+    reference_forward,
+    rnn_params,
+    stack,
+)
 
 from simsurrogate.errors import ModelConfigError
 from simsurrogate import evaluate
@@ -11,9 +20,11 @@ from simsurrogate.evaluate import predict_rows
 from simsurrogate.nn.autodiff import Tensor, concat, softmax
 from simsurrogate.nn.models import (
     ModelConfig,
+    _gelu,
     bidirectional_forward,
     inference_chunk,
     init_params,
+    layer_norm,
     linear_forward,
     model_forward,
     model_forward_infer,
@@ -96,6 +107,113 @@ class TestLinear:
         with pytest.raises(ModelConfigError, match="shape mismatch"):
             linear_forward(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))),
                            Tensor(np.zeros(2)))
+
+
+def kernel_operands(rng):
+    """name -> (kernel, its composed-tape formula, operand names and arrays)."""
+    return {
+        "linear": (linear_forward, composed_linear,
+                   {"x": rng.normal(size=(6, 4)), "w": rng.normal(size=(4, 3)),
+                    "b": rng.normal(size=3)}),
+        "layer_norm": (layer_norm, composed_layer_norm,
+                       {"x": rng.normal(2.0, 3.0, size=(6, 5)), "g": rng.normal(size=5),
+                        "b": rng.normal(size=5)}),
+        "gelu": (_gelu, composed_gelu, {"x": rng.normal(0.0, 2.0, size=(6, 5))}),
+    }
+
+
+KERNELS = ("linear", "layer_norm", "gelu")
+
+
+class TestKernelNodes:
+    """The linear layer, layer norm and GELU: a numpy forward that, given
+    Tensors, adds one tape node with a hand-written backward."""
+
+    @staticmethod
+    def case(name, seed=0):
+        kernel, composed, operands = kernel_operands(np.random.default_rng(seed))[name]
+        rng = np.random.default_rng(seed + 100)
+        weights = rng.normal(size=kernel(*(a.copy() for a in operands.values())).shape)
+        return kernel, composed, operands, weights
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_one_node(self, name):
+        kernel, _, operands, _ = self.case(name)
+        tensors = [Tensor(a, requires_grad=True) for a in operands.values()]
+        out = kernel(*tensors)
+        assert out.parents == tuple(tensors)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_finite_differences(self, name):
+        kernel, _, operands, weights = self.case(name)
+
+        def loss(t):
+            return (kernel(*(t[k] for k in operands)) * Tensor(weights)).sum()
+
+        assert check_grads(loss, operands, 1e-5) < 1e-5
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradients_match_composed_formulas(self, name, seed):
+        kernel, composed, operands, weights = self.case(name, seed)
+        grads = []
+        for fn in (kernel, composed):
+            tensors = [Tensor(a, requires_grad=True) for a in operands.values()]
+            (fn(*tensors) * Tensor(weights)).sum().backward()
+            grads.append([t.grad for t in tensors])
+        for fused, tape in zip(*grads):
+            np.testing.assert_allclose(fused, tape, rtol=1e-10, atol=1e-10 * np.abs(tape).max())
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_tensor_and_ndarray_forwards_bit_equal(self, name):
+        kernel, _, operands, _ = self.case(name)
+        on_tape = kernel(*(Tensor(a, requires_grad=True) for a in operands.values())).data
+        assert np.array_equal(kernel(*(a.copy() for a in operands.values())), on_tape)
+
+    def test_linear_on_an_ndarray_input(self):
+        """The embedding's input is a plain array: W and b get their
+        gradients, and no input gradient is formed."""
+        _, _, operands, weights = self.case("linear")
+        x, w, b = operands.values()
+        grads = []
+        for fn in (linear_forward, composed_linear):
+            tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            (fn(x, tw, tb) * Tensor(weights)).sum().backward()
+            grads.append((tw.grad, tb.grad))
+        np.testing.assert_array_equal(grads[0][0], grads[1][0])
+        np.testing.assert_array_equal(grads[0][1], grads[1][1])
+
+    def test_layer_norm_over_leading_axes(self):
+        """g and b gather their gradients over every leading axis."""
+        rng = np.random.default_rng(3)
+        params = {"x": rng.normal(size=(2, 3, 4)), "g": rng.normal(size=4),
+                  "b": rng.normal(size=4)}
+        weights = rng.normal(size=(2, 3, 4))
+
+        def loss(t):
+            return (layer_norm(t["x"], t["g"], t["b"]) * Tensor(weights)).sum()
+
+        assert check_grads(loss, params, 1e-5) < 1e-5
+
+
+def test_perfbench_sized_transformer_step_tape():
+    """A training step at h=32, 2 heads, 32 windows of 16 steps and 5
+    features: one node per linear layer, layer norm and GELU."""
+    config = ModelConfig("transformer", input_dim=5, output_dim=5, hidden_size=32,
+                         num_heads=2, window_size=16, batch_size=32)
+    rng = np.random.default_rng(0)
+    mask = np.ones((32, 16), dtype=bool)
+    mask[-1, 9:] = False
+    loss = mse_loss(model_forward(config, wrap_params(init_params(config)),
+                                  rng.normal(size=(32, 16, 5)), mask),
+                    rng.normal(size=(32, 16, 5)), mask)
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent in todo.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    assert len(seen) <= 72
 
 
 def sequence(rng, seq_len=3, batch=2, in_dim=4):
@@ -463,7 +581,7 @@ class TestInferenceForward:
         mask[-1, 2:] = False
         slow = model_forward(config, wrap_params(params), windows, mask).data
         fast = model_forward_infer(config, params, windows, mask)
-        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(fast, slow)
 
     @pytest.mark.parametrize("hidden, heads", [(12, 3), (15, 3)])
     def test_fused_qkv_split_matches_autodiff(self, hidden, heads):
@@ -479,7 +597,7 @@ class TestInferenceForward:
         mask[-1, 1:] = False
         slow = model_forward(config, wrap_params(params), windows, mask).data
         fast = model_forward_infer(config, params, windows, mask)
-        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(fast, slow)
 
     @staticmethod
     def chunked_table(config, n_windows):
@@ -519,22 +637,48 @@ class TestInferenceForward:
         got, _ = predict_rows(config, params, table, f_std, t_std)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("arch, smallest", [("bigru", 2), ("bilstm", 2), ("transformer", 1)])
-    def test_predict_rows_bit_identical_across_chunk_sizes(self, arch, smallest, monkeypatch):
-        """A window's arithmetic does not depend on which chunk it runs in.
-        A recurrent chunk of one window is left out: numpy sends its
-        [1, h] @ [h, h] steps to BLAS's matrix-vector routine, which sums in
-        another order and moves the last bit."""
+    @pytest.mark.parametrize("arch, small", [("bigru", 2), ("bilstm", 2), ("transformer", 1)])
+    def test_predict_rows_bit_identical_across_chunk_sizes(self, arch, small, monkeypatch):
+        """A window's arithmetic does not depend on which chunk it runs in:
+        chunks of 1, `small` and 7 windows and one of every window agree."""
         config = tiny_config(arch, window_overlap=1, num_layers=1)
         params = init_params(config)
         table = self.chunked_table(config, 40)
         f_std = fit_standardizer(table.features)
         t_std = fit_standardizer(table.targets)
         got = []
-        for chunk in (smallest, 7, len(table)):
+        for chunk in sorted({1, small, 7, len(table)}):
             monkeypatch.setattr(evaluate, "inference_chunk", lambda _config, n=chunk: n)
             got.append(predict_rows(config, params, table, f_std, t_std)[0])
-        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        assert all(np.array_equal(got[0], other) for other in got[1:])
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm"])
+    def test_predict_rows_lone_window_chunk(self, arch, monkeypatch):
+        """At the recurrent models' 256 windows per chunk, a table of 257
+        windows ends in a one-window chunk, and a one-window table is one.
+        Each predicts as in one chunk of all 257 windows."""
+        config = tiny_config(arch, num_layers=1)
+        params = init_params(config)
+        n_rows = 257 * config.window_size - 1  # the last window is partly padded
+        rng = np.random.default_rng(14)
+        features = rng.normal(size=(n_rows, config.input_dim))
+        targets = rng.normal(size=(n_rows, config.output_dim))
+
+        def first_rows(n):
+            return SampleTable("heterogeneous", np.zeros(n, dtype=np.int64),
+                               np.arange(n, dtype=np.int64), features[:n], targets[:n],
+                               ("f0", "f1", "f2"), ("t0", "t1"))
+
+        table, first = first_rows(n_rows), first_rows(config.window_size)
+        f_std = fit_standardizer(table.features)
+        t_std = fit_standardizer(table.targets)
+        assert inference_chunk(config) == 256
+        chunked = predict_rows(config, params, table, f_std, t_std)[0]
+        alone = predict_rows(config, params, first, f_std, t_std)[0]
+        monkeypatch.setattr(evaluate, "inference_chunk", lambda _config: 257)
+        whole = predict_rows(config, params, table, f_std, t_std)[0]
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(alone, whole[:config.window_size])
 
     @pytest.mark.parametrize("arch, hidden, heads, window, chunk", [
         ("bigru", 24, 2, 16, 256),
