@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough operations for recurrent cells, attention, and layer norm.  Every
-op records its parents and a gradient closure; `backward` walks the tape in
-reverse topological order.  Broadcasting is supported; gradients are summed
-back to the parent's shape.
+Just enough operations for attention and the loss.  Every op records its
+parents and a gradient closure; `backward` walks the tape in reverse
+topological order.  Broadcasting is supported; gradients are summed back to
+the parent's shape.
 
-The module-level ops (tanh, masked_fill, concat, softmax) take a Tensor or a
-plain ndarray, so model code written with them runs either on the tape or as
-plain numpy with no Tensor built. `fused_node` records one hand-written
-backward for several parents.
+The module-level ops (masked_fill, concat, softmax) take a Tensor or a plain
+ndarray, so model code written with them runs either on the tape or as plain
+numpy with no Tensor built. `fused_node` records one hand-written backward
+for several parents: the linear layer, layer norm, GELU and each recurrent
+direction are such nodes.
 """
 
 from __future__ import annotations
@@ -142,24 +143,9 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                       parents=(self,), grad_fns=(grad,))
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def tanh(self):
-        out = np.tanh(self.data)
-        return Tensor(out, parents=(self,), grad_fns=(lambda g: g * (1 - out**2),))
-
     def exp(self):
         out = np.exp(self.data)
         return Tensor(out, parents=(self,), grad_fns=(lambda g: g * out,))
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return Tensor(out, parents=(self,), grad_fns=(lambda g: g * 0.5 / out,))
 
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Where mask is True keep the value; where False substitute `value`."""
@@ -197,10 +183,6 @@ class Tensor:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
 def masked_fill(x, mask: np.ndarray, value: float):

@@ -6,13 +6,28 @@
 - The per-gate GRU and LSTM cells, run one step at a time on the autodiff
   tape over slices of the fused parameters, for the hand-written BPTT.
 
-The tape ops only these references use, `sigmoid` and `stack`, live here
-too."""
+The tape ops only these references use (`mean`, `sqrt`, `tanh`, `sigmoid`
+and `stack`) live here too."""
 
 import numpy as np
 
-from simsurrogate.nn.autodiff import Tensor, concat, tanh
+from simsurrogate.nn.autodiff import Tensor, concat
 from simsurrogate.nn.models import RNN_CELLS
+
+
+def mean(x: Tensor) -> Tensor:
+    """The mean over the last axis, kept: the sum times 1/n."""
+    return x.sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+
+
+def sqrt(x: Tensor) -> Tensor:
+    out = np.sqrt(x.data)
+    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * 0.5 / out,))
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * (1 - out**2),))
 
 
 def composed_linear(x, w, b):
@@ -21,10 +36,9 @@ def composed_linear(x, w, b):
 
 
 def composed_layer_norm(x, g, b, eps: float = 1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * g + b
+    centered = x - mean(x)
+    var = mean(centered * centered)
+    return centered / sqrt(var + eps) * g + b
 
 
 def composed_gelu(x):
