@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -33,8 +34,8 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluate import (evaluate_model, predict_rows, speedup_row, time_call, write_report,
-                       write_speedup_csv)
+from .evaluate import (EvalReport, evaluate_model, predict_rows, speedup_row, time_call,
+                       write_report, write_speedup_csv)
 from .nn.models import ARCHITECTURES, ModelConfig
 from .platform import builtin_platform
 from .preprocess import (
@@ -186,6 +187,11 @@ def _suite(man: ExperimentManifest) -> list[SuiteEntry]:
     return suite
 
 
+def _runs(man: ExperimentManifest) -> list[tuple[int, str]]:
+    """(n_jobs, kind) of every simulation of the suite; its index is the simulation id."""
+    return [(e.n_jobs, e.kind) for e in _suite(man) for _ in range(e.n_simulations)]
+
+
 def _job_classes(man: ExperimentManifest) -> tuple[JobClassSpec, ...]:
     return load_job_classes(man.job_classes) if man.job_classes else DEFAULT_JOB_CLASSES
 
@@ -256,7 +262,7 @@ def simulate(manifest_path, job_classes, **flags):
     man = resolve_manifest(manifest_path, job_classes=job_classes, **flags)
     base = _scenario_dir(man)
     classes = _job_classes(man)
-    runs = [(e.n_jobs, e.kind) for e in _suite(man) for _ in range(e.n_simulations)]
+    runs = _runs(man)
     sims = [{"simulation_id": i, "n_jobs": n, "kind": kind} for i, (n, kind) in enumerate(runs)]
     tasks = [(man.scenario, i, n, man.seed, base / f"sim_{i}", classes)
              for i, (n, _) in enumerate(runs)]
@@ -276,6 +282,20 @@ def simulate(manifest_path, job_classes, **flags):
     click.echo(f"simulated {len(sims)} runs under {base}")
 
 
+def simulate_suite(man: ExperimentManifest) -> tuple[dict[int, SampleTable], dict[int, int]]:
+    """The suite's training simulations run in memory, with the ids and
+    workloads `simulate` gives them: joined samples and job count per id."""
+    platform = builtin_platform(man.scenario)
+    classes = _job_classes(man)
+    lengths = {sid: n for sid, (n, kind) in enumerate(_runs(man)) if kind == "train"}
+    tables = {}
+    for sid, n in lengths.items():
+        jobs, datasets = generate_workload(man.scenario, n, sid, man.seed, classes)
+        traces = run_simulation(platform, jobs, datasets)
+        tables[sid] = join_traces(man.scenario, workload_rows(jobs, datasets), traces)
+    return tables, lengths
+
+
 def _load_suite(man: ExperimentManifest) -> list[dict]:
     path = _require(_scenario_dir(man) / "suite.json", "simulate")
     return json.loads(path.read_text(encoding="utf-8"))["simulations"]
@@ -289,6 +309,19 @@ def _load_sim_table(man: ExperimentManifest, sim_id: int) -> SampleTable:
     return join_traces(man.scenario, rows, traces)
 
 
+def split_samples(man: ExperimentManifest, lengths: dict[int, int], table):
+    """Split the training simulations (job count by id), concatenate each side's
+    samples (`table(sid)` gives one simulation's), fit the standardizers on the
+    train side: (split, train, eval, f_std, t_std); no eval split scores train."""
+    split = split_train_eval(lengths, man.train_fraction, man.seed)
+    train_table = SampleTable.concat([table(sid) for sid in split.train_ids])
+    eval_table = (SampleTable.concat([table(sid) for sid in split.eval_ids])
+                  if split.eval_ids else train_table)
+    f_std = fit_standardizer(train_table.features, names=train_table.feature_names)
+    t_std = fit_standardizer(train_table.targets, names=train_table.target_names)
+    return split, train_table, eval_table, f_std, t_std
+
+
 @main.command()
 @common_options
 @_handle_errors
@@ -296,28 +329,28 @@ def preprocess(manifest_path, **flags):
     """Join traces into samples, split by simulation, fit standardizers."""
     man = resolve_manifest(manifest_path, **flags)
     sims = _load_suite(man)
-    train_sims = [s for s in sims if s["kind"] == "train"]
-    split = split_train_eval({s["simulation_id"]: s["n_jobs"] for s in train_sims},
-                             man.train_fraction, man.seed)
+    lengths = {s["simulation_id"]: s["n_jobs"] for s in sims if s["kind"] == "train"}
+    split, train_table, eval_table, f_std, t_std = split_samples(
+        man, lengths, functools.partial(_load_sim_table, man))
     outdir = _scenario_dir(man) / "preprocess"
     outdir.mkdir(parents=True, exist_ok=True)
 
     extra = [s["simulation_id"] for s in sims if s["kind"] == "extrapolation"]
-    tables = {}
-    for name, ids in (("train", split.train_ids), ("eval", split.eval_ids),
-                      ("extrapolation", extra)):
-        if ids or name == "train":
-            tables[name] = SampleTable.concat([_load_sim_table(man, sid) for sid in ids])
-            write_samples_csv(outdir / f"{name}_samples.csv", tables[name])
-    train_table = tables["train"]
+    sets = {"train": train_table, "eval": eval_table if split.eval_ids else None,
+            "extrapolation": (SampleTable.concat([_load_sim_table(man, sid) for sid in extra])
+                              if extra else None)}
+    for name, table in sets.items():
+        path = outdir / f"{name}_samples.csv"
+        if table is None:
+            path.unlink(missing_ok=True)  # an earlier suite's set must not be scored
+        else:
+            write_samples_csv(path, table)
 
     (outdir / "split.json").write_text(split.to_json(), encoding="utf-8")
-    f_std = fit_standardizer(train_table.features, names=train_table.feature_names)
-    t_std = fit_standardizer(train_table.targets, names=train_table.target_names)
     (outdir / "feature_std.json").write_text(f_std.to_json(), encoding="utf-8")
     (outdir / "target_std.json").write_text(t_std.to_json(), encoding="utf-8")
     _write_meta(outdir, "preprocess", man)
-    click.echo(f"preprocessed {len(train_sims)} training simulations "
+    click.echo(f"preprocessed {len(lengths)} training simulations "
                f"({len(split.train_ids)} train / {len(split.eval_ids)} eval)")
 
 
@@ -367,6 +400,26 @@ def _model_config(man: ExperimentManifest) -> ModelConfig:
     )
 
 
+def _train(man: ExperimentManifest, scaled_train: SampleTable, scaled_eval: SampleTable,
+           f_std: Standardizer, t_std: Standardizer):
+    """The manifest's model trained for `max_epochs`; returns its checkpoint and history."""
+    config = _model_config(man)
+    params, history, _ = _fit(man, config, scaled_train, scaled_eval, man.max_epochs)
+    return Checkpoint(config=config, params=params, feature_std=f_std, target_std=t_std,
+                      scenario=man.scenario, seed=man.seed), history
+
+
+def run_experiment(man: ExperimentManifest, tables: dict[int, SampleTable],
+                   lengths: dict[int, int]) -> tuple[EvalReport, Checkpoint]:
+    """`preprocess`, `train` and `evaluate` in memory on `simulate_suite`'s
+    output: the eval split's report and the trained model."""
+    _, train_table, eval_table, f_std, t_std = split_samples(man, lengths, tables.__getitem__)
+    ckpt, _ = _train(man, standardize_table(train_table, f_std, t_std),
+                     standardize_table(eval_table, f_std, t_std), f_std, t_std)
+    report = evaluate_model(ckpt.config, ckpt.params, eval_table, f_std, t_std, seed=man.seed)
+    return report, ckpt
+
+
 @main.command()
 @common_options
 @click.option("--epochs", type=int, default=None, help="Override max_epochs.")
@@ -375,15 +428,11 @@ def _model_config(man: ExperimentManifest) -> ModelConfig:
 def train(manifest_path, epochs, num_heads, **flags):
     """Train one surrogate on the preprocessed samples; saves a checkpoint."""
     man = resolve_manifest(manifest_path, max_epochs=epochs, num_heads=num_heads, **flags)
-    scaled_train, scaled_eval, f_std, t_std = _load_preprocessed(man)
-    config = _model_config(man)
-    params, history, _ = _fit(man, config, scaled_train, scaled_eval, man.max_epochs)
+    ckpt, history = _train(man, *_load_preprocessed(man))
 
     outdir = _scenario_dir(man) / "model"
     outdir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(outdir / "checkpoint.npz", Checkpoint(
-        config=config, params=params, feature_std=f_std, target_std=t_std,
-        scenario=man.scenario, seed=man.seed))
+    save_checkpoint(outdir / "checkpoint.npz", ckpt)
     with open(outdir / "history.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "eval_loss"])
@@ -439,10 +488,12 @@ def evaluate(manifest_path, **flags):
     ckpt = load_checkpoint(_require(_scenario_dir(man) / "model" / "checkpoint.npz", "train"))
     pre = _scenario_dir(man) / "preprocess"
     outdir = _scenario_dir(man) / "eval"
+    extra = pre / "extrapolation_samples.csv"
     scored = [("", _eval_samples(pre), outdir)]
-    if (pre / "extrapolation_samples.csv").exists():
-        scored.append(("extrapolation ", pre / "extrapolation_samples.csv",
-                       outdir / "extrapolation"))
+    if extra.exists():
+        scored.append(("extrapolation ", extra, outdir / "extrapolation"))
+    elif (outdir / "extrapolation").exists():
+        shutil.rmtree(outdir / "extrapolation")  # an earlier suite's scores
     for label, path, report_dir in scored:
         report = evaluate_model(ckpt.config, ckpt.params, read_samples_csv(path),
                                 ckpt.feature_std, ckpt.target_std, seed=man.seed)
@@ -450,6 +501,16 @@ def evaluate(manifest_path, **flags):
         for name, value in report.r2.items():
             click.echo(f"{label}r2[{name}] = {value:.4f}")
     _write_meta(outdir, "evaluate", man)
+
+
+def time_speedup(platform, scenario: str, jobs, datasets, ckpt: Checkpoint, repeats: int) -> dict:
+    """Simulator against surrogate on one workload (`jobs`, `datasets`), each
+    side timed by `time_call` with `repeats`; returns its `speedup_row`."""
+    traces, sim_s = time_call(lambda: run_simulation(platform, jobs, datasets), repeats)
+    table = join_traces(scenario, workload_rows(jobs, datasets), traces)
+    _, sur_s = time_call(lambda: predict_rows(ckpt.config, ckpt.params, table,
+                                              ckpt.feature_std, ckpt.target_std), repeats)
+    return speedup_row(scenario, len(jobs), sim_s, sur_s)
 
 
 @main.command()
@@ -468,16 +529,9 @@ def bench(manifest_path, repeats, **flags):
                                     "train"))
     classes = _job_classes(man)
     platform = builtin_platform(man.scenario)
-    rows = []
-    for n in sizes:
-        jobs, datasets = generate_workload(man.scenario, n, 0, man.seed, classes)
-        traces, sim_s = time_call(lambda: run_simulation(platform, jobs, datasets),
-                                  man.bench_repeats)
-        table = join_traces(man.scenario, workload_rows(jobs, datasets), traces)
-        _, sur_s = time_call(lambda: predict_rows(ckpt.config, ckpt.params, table,
-                                                  ckpt.feature_std, ckpt.target_std),
-                             man.bench_repeats)
-        rows.append(speedup_row(man.scenario, n, sim_s, sur_s))
+    rows = [time_speedup(platform, man.scenario,
+                         *generate_workload(man.scenario, n, 0, man.seed, classes),
+                         ckpt, man.bench_repeats) for n in sizes]
     outdir = _scenario_dir(man) / "bench"
     outdir.mkdir(parents=True, exist_ok=True)
     write_speedup_csv(outdir / "speedup.csv", rows)

@@ -118,7 +118,6 @@ class EvalReport:
     scenario: str
     r2: dict[str, float]
     kde_curves: dict[str, KdeCurve]
-    surrogate_seconds: float
     n_rows: int
     config: dict = field(default_factory=dict)
     seed: int = 0
@@ -168,7 +167,7 @@ def time_call(fn, repeats: int):
 def evaluate_model(config: ModelConfig, params: dict[str, np.ndarray],
                    table: SampleTable, feature_std: Standardizer,
                    target_std: Standardizer, seed: int = 0) -> EvalReport:
-    preds, seconds = predict_rows(config, params, table, feature_std, target_std)
+    preds, _ = predict_rows(config, params, table, feature_std, target_std)
     r2: dict[str, float] = {}
     curves: dict[str, KdeCurve] = {}
     for j, name in enumerate(table.target_names):
@@ -185,7 +184,6 @@ def evaluate_model(config: ModelConfig, params: dict[str, np.ndarray],
         scenario=table.scenario,
         r2=r2,
         kde_curves=curves,
-        surrogate_seconds=seconds,
         n_rows=len(table),
         config=config.to_dict(),
         seed=seed,
@@ -206,14 +204,7 @@ def write_report(outdir: str | Path, report: EvalReport) -> None:
             w.writerow(["grid", "target_density", "predicted_density"])
             for g, t, p in zip(curve.grid, curve.target_density, curve.predicted_density):
                 w.writerow([repr(float(g)), repr(float(t)), repr(float(p))])
-    summary = {
-        "scenario": report.scenario,
-        "r2": report.r2,
-        "surrogate_seconds": report.surrogate_seconds,
-        "n_rows": report.n_rows,
-        "config": report.config,
-        "seed": report.seed,
-    }
+    summary = {k: getattr(report, k) for k in ("scenario", "r2", "n_rows", "config", "seed")}
     (outdir / "report.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
 
 

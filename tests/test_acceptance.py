@@ -7,14 +7,14 @@ minutes; everything else is fast.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
 from tape_reference import rnn_params
 
+from simsurrogate.cli import ExperimentManifest, run_experiment, simulate_suite, time_speedup
 from simsurrogate.engine import run_simulation
-from simsurrogate.evaluate import default_grid, evaluate_model, kde, predict_rows, r_squared
+from simsurrogate.evaluate import default_grid, kde, r_squared
 from simsurrogate.nn.autodiff import Tensor
 from simsurrogate.nn.models import (
     ModelConfig,
@@ -31,10 +31,9 @@ from simsurrogate.preprocess import (
     fit_standardizer,
     make_windows,
     split_train_eval,
-    standardize_table,
     unwindow_aligned,
 )
-from simsurrogate.traceio import SampleTable, join_traces, workload_rows
+from simsurrogate.traceio import SampleTable
 from simsurrogate.train import TrainConfig, train_model
 from simsurrogate.tuner import COORDINATE_ORDER, SearchSpace, tune_hyperparameters
 from simsurrogate.workload import (
@@ -46,6 +45,11 @@ from simsurrogate.workload import (
 )
 
 SEEDS = (0, 1, 2)
+# Criterion 6's experiments: a BiGRU (h=24, 16-row windows) per scenario
+HETERO = dict(scenario="heterogeneous", sims_per_batch=200, job_counts=[100],
+              hidden_size=24, max_epochs=30, patience=30)
+HOMOG = dict(scenario="homogeneous", sims_per_batch=20, job_counts=list(TRAIN_JOB_COUNTS),
+             hidden_size=24, max_epochs=25, patience=25)
 
 
 # Shared plumbing ------------------------------------------------------------
@@ -71,41 +75,13 @@ def job(idx, flops=1e9, files=(), out=0.0):
                    output_files_size_bytes=out, class_id=0)
 
 
-def run_experiment(tables, lengths, seed, input_dim, epochs):
-    """70:30 split, standardize, train a BiGRU, score the eval simulations."""
-    split = split_train_eval(lengths, 0.7, seed)
-    train_t = SampleTable.concat([tables[i] for i in split.train_ids])
-    eval_t = SampleTable.concat([tables[i] for i in split.eval_ids])
-    f_std = fit_standardizer(train_t.features, names=train_t.feature_names)
-    t_std = fit_standardizer(train_t.targets, names=train_t.target_names)
-    config = ModelConfig("bigru", input_dim=input_dim, output_dim=5, hidden_size=24,
-                         window_size=16, window_overlap=0, batch_size=32, seed=seed)
-    train_batch = make_windows(standardize_table(train_t, f_std, t_std), 16, 0)
-    eval_batch = make_windows(standardize_table(eval_t, f_std, t_std), 16, 0)
-    params, _ = train_model(
-        TrainConfig(model=config, learning_rate=1e-3, max_epochs=epochs,
-                    patience=epochs, seed=seed),
-        train_batch, eval_batch)
-    report = evaluate_model(config, params, eval_t, f_std, t_std, seed=seed)
-    return report, config, params, f_std, t_std
-
-
-def simulate_table(scenario, platform, n_jobs, sim_id, seed):
-    jobs, datasets = generate_workload(scenario, n_jobs, sim_id, seed)
-    traces = run_simulation(platform, jobs, datasets)
-    return join_traces(scenario, workload_rows(jobs, datasets), traces)
-
-
 @pytest.fixture(scope="module")
 def hetero_runs():
     """One 200-simulation x 100-job heterogeneous experiment per seed."""
-    platform = builtin_platform("heterogeneous")
     runs = {}
     for seed in SEEDS:
-        tables = {sid: simulate_table("heterogeneous", platform, 100, sid, seed)
-                  for sid in range(200)}
-        runs[seed] = run_experiment(tables, {sid: 100 for sid in tables}, seed,
-                                    input_dim=5, epochs=30)
+        man = ExperimentManifest(**HETERO, seed=seed)
+        runs[seed] = run_experiment(man, *simulate_suite(man))
     return runs
 
 
@@ -117,15 +93,8 @@ def homog_runs():
     at t=0), so the simulations are shared and only split and initialization
     vary per seed.
     """
-    platform = builtin_platform("homogeneous")
-    tables, lengths = {}, {}
-    sid = 0
-    for n in TRAIN_JOB_COUNTS:
-        for _ in range(20):
-            tables[sid] = simulate_table("homogeneous", platform, n, sid, 0)
-            lengths[sid] = n
-            sid += 1
-    return {seed: run_experiment(tables, lengths, seed, input_dim=4, epochs=25)
+    suite = simulate_suite(ExperimentManifest(**HOMOG))
+    return {seed: run_experiment(ExperimentManifest(**HOMOG, seed=seed), *suite)
             for seed in SEEDS}
 
 
@@ -304,18 +273,13 @@ def test_criterion_6_pattern_reproduction(hetero_runs, homog_runs):
 # 7. Speedup at 10,000 jobs --------------------------------------------------
 
 def test_criterion_7_speedup(hetero_runs):
-    _, config, params, f_std, t_std = hetero_runs[SEEDS[0]]
-    platform = builtin_platform("heterogeneous")
+    _, ckpt = hetero_runs[SEEDS[0]]
     jobs, datasets = generate_workload("heterogeneous", 10_000, 0, SEEDS[0])
-    t0 = time.perf_counter()
-    traces = run_simulation(platform, jobs, datasets)
-    sim_seconds = time.perf_counter() - t0
-    table = join_traces("heterogeneous", workload_rows(jobs, datasets), traces)
-    _, surrogate_seconds = predict_rows(config, params, table, f_std, t_std)
-    speedup = sim_seconds / surrogate_seconds
-    assert speedup >= 10.0, \
-        f"simulator {sim_seconds:.2f}s / surrogate {surrogate_seconds:.3f}s " \
-        f"= {speedup:.1f}x"
+    row = time_speedup(builtin_platform("heterogeneous"), "heterogeneous", jobs, datasets,
+                       ckpt, repeats=1)
+    assert row["speedup"] >= 10.0, \
+        f"simulator {row['simulator_seconds']:.2f}s / surrogate " \
+        f"{row['surrogate_seconds']:.3f}s = {row['speedup']:.1f}x"
 
 
 # 8. Metric properties -------------------------------------------------------

@@ -6,11 +6,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from simsurrogate import cli
 from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
+from simsurrogate.preprocess import Standardizer
+from simsurrogate.traceio import read_samples_csv
 from simsurrogate.workload import DEFAULT_JOB_CLASSES
 
 TINY = {
@@ -215,12 +218,83 @@ class TestErrorPaths:
         assert "leaves no training simulation" in result.output
         assert not (tmp_path / "out" / "heterogeneous" / "preprocess").exists()
 
+    def test_rerun_scores_no_sample_set_of_an_earlier_suite(self, tmp_path):
+        # the first suite has an eval split (one 20- and one 30-job simulation)
+        # and an extrapolation run; the second is a lone 20-job simulation
+        path = tmp_path / "m.json"
+        runner = CliRunner()
+        for doc in ({"job_counts": [20, 30], "include_extrapolation": True,
+                     "extrapolation_jobs": 40, "extrapolation_simulations": 1},
+                    {"sims_per_batch": 1}):
+            path.write_text(json.dumps(TINY | {"out": str(tmp_path / "out")} | doc))
+            for cmd in ("simulate", "preprocess", "train", "evaluate"):
+                result = runner.invoke(main, [cmd, "--manifest", str(path)])
+                assert result.exit_code == 0, f"{cmd}: {result.output}"
+        assert "extrapolation r2" not in result.output
+        base = tmp_path / "out" / "heterogeneous"
+        assert [p.name for p in (base / "preprocess").glob("*_samples.csv")] == [
+            "train_samples.csv"]
+        assert not (base / "eval" / "extrapolation").exists()
+        # with no eval simulation the train samples are scored
+        assert json.loads((base / "eval" / "report.json").read_text())["n_rows"] == 20
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
         result = CliRunner().invoke(main, ["simulate", "--manifest", str(path)])
         assert result.exit_code != 0
         assert "not valid JSON" in result.output
+
+
+SMALL = TINY | {"sims_per_batch": 4, "include_extrapolation": True, "extrapolation_jobs": 40,
+                "extrapolation_simulations": 1, "hidden_size": 4, "max_epochs": 1,
+                "patience": 1}
+
+
+class TestExperiment:
+    """The in-memory experiment against the staged pipeline at desk size."""
+
+    @pytest.fixture(scope="class")
+    def staged(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("experiment")
+        path = root / "m.json"
+        path.write_text(json.dumps(SMALL | {"out": str(root / "out")}))
+        for cmd in ("simulate", "preprocess"):
+            result = CliRunner().invoke(main, [cmd, "--manifest", str(path)])
+            assert result.exit_code == 0, f"{cmd}: {result.output}"
+        man = resolve_manifest(str(path))
+        return man, root / "out" / "heterogeneous", cli.simulate_suite(man)
+
+    def test_suite_holds_the_simulated_training_runs(self, staged):
+        _, base, (tables, lengths) = staged
+        sims = json.loads((base / "suite.json").read_text())["simulations"]
+        train = {s["simulation_id"]: s["n_jobs"] for s in sims if s["kind"] == "train"}
+        assert lengths == train and sorted(tables) == sorted(train)
+
+    def test_split_and_standardizers_match_preprocess(self, staged):
+        man, base, (tables, lengths) = staged
+        split, train, _, f_std, t_std = cli.split_samples(man, lengths, tables.__getitem__)
+        pre = base / "preprocess"
+        assert split.to_json() == (pre / "split.json").read_text()
+        # the staged samples went through CSV files that keep whole bytes and
+        # nanoseconds; the in-memory ones did not
+        written = read_samples_csv(pre / "train_samples.csv")
+        np.testing.assert_array_equal(train.simulation_ids, written.simulation_ids)
+        np.testing.assert_allclose(train.features, written.features, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(train.targets, written.targets, rtol=1e-6, atol=1e-9)
+        for std, name in ((f_std, "feature_std.json"), (t_std, "target_std.json")):
+            staged_std = Standardizer.from_json((pre / name).read_text())
+            assert std.names == staged_std.names
+            np.testing.assert_allclose(std.mean, staged_std.mean, rtol=1e-6)
+            np.testing.assert_allclose(std.std, staged_std.std, rtol=1e-6)
+
+    def test_checkpoint_config_and_bit_equal_r2_on_a_second_call(self, staged):
+        man, _, suite = staged
+        report, ckpt = cli.run_experiment(man, *suite)
+        assert ckpt.config == cli._model_config(man)
+        assert (ckpt.scenario, ckpt.seed) == (man.scenario, man.seed)
+        again, _ = cli.run_experiment(man, *suite)
+        assert repr(again.r2) == repr(report.r2)
 
 
 def read_speedup(out: Path) -> list[dict]:

@@ -253,6 +253,7 @@ class TestEvaluateModel:
         summary = json.loads((tmp_path / "report.json").read_text())
         assert summary["seed"] == 5
         assert summary["r2"]["t0"] == report.r2["t0"]
+        assert "surrogate_seconds" not in summary  # bench times the surrogate
 
 
 class TestSpeedup:
