@@ -4,14 +4,13 @@ single .npz container with a versioned header."""
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import PreprocessError, TrainingError
 from .nn.models import ModelConfig, init_params
 from .preprocess import Standardizer
 from .scenarios import get_scenario
@@ -90,24 +89,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return ckpt
 
 
-def _finite_numbers(value) -> bool:
-    """A JSON list of finite numbers; booleans and strings are not numbers."""
-    if not isinstance(value, list):
-        return False
-    try:
-        return all(not isinstance(v, bool) and math.isfinite(v) for v in value)
-    except (TypeError, OverflowError):
-        return False
-
-
 def _standardizer(header: dict, key: str) -> Standardizer:
-    doc = header[key]
-    if not (isinstance(doc, dict) and _finite_numbers(doc.get("mean"))
-            and _finite_numbers(doc.get("std")) and isinstance(doc.get("names"), list)
-            and all(isinstance(n, str) for n in doc["names"])):
-        raise TrainingError(f"checkpoint {key} needs 'mean' and 'std' lists of finite "
-                            f"numbers and a 'names' list of strings")
-    return Standardizer.from_json(json.dumps(doc))
+    try:
+        return Standardizer.from_dict(header[key], f"checkpoint {key}")
+    except PreprocessError as exc:
+        raise TrainingError(str(exc)) from None
 
 
 def _validate(ckpt: Checkpoint) -> None:

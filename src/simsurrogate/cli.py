@@ -297,8 +297,27 @@ def simulate_suite(man: ExperimentManifest) -> tuple[dict[int, SampleTable], dic
 
 
 def _load_suite(man: ExperimentManifest) -> list[dict]:
+    """suite.json's simulations, each an object with an integer
+    `simulation_id`, an integer `n_jobs` >= 0 and a `kind` of train or
+    extrapolation; WorkloadError, as `SuiteEntry` raises, if it is not so."""
     path = _require(_scenario_dir(man) / "suite.json", "simulate")
-    return json.loads(path.read_text(encoding="utf-8"))["simulations"]
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise WorkloadError(f"{path} is not JSON: {exc}") from None
+    sims = doc.get("simulations") if isinstance(doc, dict) else None
+
+    def integer(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not (isinstance(sims, list) and all(
+            isinstance(s, dict) and integer(s.get("simulation_id")) and integer(s.get("n_jobs"))
+            and s["n_jobs"] >= 0 and s.get("kind") in ("train", "extrapolation")
+            for s in sims)):
+        raise WorkloadError(f"{path} needs a 'simulations' list of objects, each with an "
+                            f"integer 'simulation_id', an integer 'n_jobs' >= 0 and a "
+                            f"'kind' of 'train' or 'extrapolation'")
+    return sims
 
 
 def _load_sim_table(man: ExperimentManifest, sim_id: int) -> SampleTable:
@@ -367,8 +386,8 @@ def _load_preprocessed(man: ExperimentManifest):
     train_table = read_samples_csv(train_path)
     eval_path = _eval_samples(pre)
     eval_table = train_table if eval_path == train_path else read_samples_csv(eval_path)
-    f_std = Standardizer.from_json((pre / "feature_std.json").read_text(encoding="utf-8"))
-    t_std = Standardizer.from_json((pre / "target_std.json").read_text(encoding="utf-8"))
+    f_std, t_std = (Standardizer.from_json(path.read_text(encoding="utf-8"), str(path))
+                    for path in (pre / "feature_std.json", pre / "target_std.json"))
     return (standardize_table(train_table, f_std, t_std),
             standardize_table(eval_table, f_std, t_std), f_std, t_std)
 

@@ -12,11 +12,22 @@ Transfers sharing the same ordered (source, destination) pair always have the
 same rate, so they are tracked per route as fluid progress against absolute
 byte thresholds.  This keeps each event O(#routes) instead of O(#transfers).
 
-Everything else is a heap event naming its job, run at equal times in order
-of kind, then job index: EV_SUBMIT (queue the job, fill free cores),
+Submissions are read through a cursor over the jobs sorted by (submission
+time, job index) and go first at equal times.  Everything else is a heap event
+naming its job, run at equal times in order of kind, then job index:
 EV_TRANSFER_DONE (an input's latency is over: start the next input or the
 compute), EV_COMPUTE_DONE (start the output) and EV_OUTPUT_DONE (record the
 trace, free the core).  Transfers are finished before events due at once.
+
+A loop pass scans the routes for the next completion, advances progress to it
+or to the next submission or event, and runs that.  Two rules run more of an
+instant in one pass, with the traces that one pass per item gives:
+- Once a submission finds every core busy, the others due at that instant
+  queue at once: no heap event due then can free a core before them, and
+  queueing touches no flow.
+- After a pass that advanced no time, heap events due at that instant run back
+  to back while none opens a transfer: only a start, a completion or an advance
+  changes flows, rates or progress, so the pass's scan still holds.
 """
 
 from __future__ import annotations
@@ -24,14 +35,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .errors import SimulationError
 from .platform import PlatformSpec
 from .workload import DatasetSpec, JobSpec
 
-# Event kinds in tie-break order.
-EV_SUBMIT = 0
+# Heap event kinds in tie-break order (submissions go before all of them).
 EV_TRANSFER_DONE = 2
 EV_COMPUTE_DONE = 3
 EV_OUTPUT_DONE = 4
@@ -56,27 +66,21 @@ TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass(slots=True, eq=False)
-class _Transfer:
-    job: _JobState
-    size: float
-    is_output: bool
-    audit_bytes: float = 0.0
-
-
-@dataclass(slots=True, eq=False)
 class _RouteFlow:
     links: tuple[int, ...]  # positions in the platform's link list
     cap: float
     latency: float
     progress: float = 0.0
     rate: float = 0.0
-    pending: list[tuple[float, int, _Transfer]] = field(default_factory=list)
+    # (threshold, seq, job, size, is_output, audit cell: [bytes moved] or None)
+    pending: list[tuple] = field(default_factory=list)
 
 
 @dataclass(slots=True, eq=False)
 class _JobState:
     spec: JobSpec
-    files_left: deque[str]
+    index: int
+    next_file: int = 0  # position in spec.input_files of the next input
     worker: str | None = None
     start: float = 0.0
     input_time: float = 0.0
@@ -103,31 +107,22 @@ class _Simulation:
         for j in jobs:
             for fid in j.input_files:
                 if fid not in self.file_size:
-                    raise SimulationError(
-                        f"job {j.job_index} of simulation {j.simulation_id} "
-                        f"references missing input file {fid!r}"
-                    )
+                    raise SimulationError(f"job {j.job_index} of simulation {j.simulation_id} "
+                                          f"references missing input file {fid!r}")
         # where a job without input files writes its output (None: its worker)
         self.output_dest = next((n.id for n in platform.storage_nodes()), None)
-        self.jobs = [_JobState(j, deque(j.input_files))
-                     for j in sorted(jobs, key=lambda j: j.job_index)]
+        self.jobs = [_JobState(j, j.job_index) for j in sorted(jobs, key=lambda j: j.job_index)]
+        self.submissions = sorted(self.jobs, key=lambda j: j.spec.submission_time_s)  # stable
         workers = sorted(platform.workers(), key=lambda w: w.id)
         self.worker_ids = [w.id for w in workers]
         self.free_cores = {w.id: w.cores for w in workers}
         self.queue: deque[_JobState] = deque()
-        # (when, kind, job_index, seq, job); seq is unique, so jobs are never compared
-        self.heap = [(j.spec.submission_time_s, EV_SUBMIT, j.spec.job_index, seq, j)
-                     for seq, j in enumerate(self.jobs, 1)]
-        heapify(self.heap)
-        self.seq = len(self.jobs)
+        # (when, kind, job index, seq, job); seq is unique, so jobs are never compared
+        self.heap: list[tuple[float, int, int, int, _JobState]] = []
+        self.seq = self.started = 0  # events and transfers numbered; transfers opened
         self.now = 0.0
         self.flows: dict[tuple[str, str], _RouteFlow] = {}
         self.traces: dict[int, TraceRecord] = {}
-
-    # Event plumbing -------------------------------------------------------
-    def _push(self, when: float, kind: int, job: _JobState) -> None:
-        self.seq += 1
-        heappush(self.heap, (when, kind, job.spec.job_index, self.seq, job))
 
     # Transfer plumbing ----------------------------------------------------
     def _recompute_rates(self) -> None:
@@ -165,28 +160,29 @@ class _Simulation:
         for i in flow.links:
             load[i] += 1
         self.seq += 1
-        heappush(flow.pending, (flow.progress + size, self.seq,
-                                _Transfer(job, size, is_output)))
+        self.started += 1
+        heappush(flow.pending, (flow.progress + size, self.seq, job, size, is_output,
+                                [0.0] if self.audit else None))
         self._recompute_rates()
         return True
 
-    def _finish_transfer(self, key: tuple[str, str], flow: _RouteFlow,
-                         xfer: _Transfer) -> None:
+    def _finish_transfer(self, key: tuple[str, str], flow: _RouteFlow, xfer: tuple) -> None:
+        _, _, job, size, is_output, moved = xfer
         load = self.link_load
         for i in flow.links:
             load[i] -= 1
         if not flow.pending:
             del self.flows[key]
         self._recompute_rates()
-        if self.audit:
-            got = xfer.audit_bytes
-            if abs(got - xfer.size) > 1e-6 * max(1.0, xfer.size):
-                raise SimulationError(
-                    f"work conservation violated: transferred {got} of {xfer.size} bytes"
-                )
+        if moved is not None and abs(moved[0] - size) > 1e-6 * max(1.0, size):
+            raise SimulationError(
+                f"work conservation violated: transferred {moved[0]} of {size} bytes"
+            )
         # Latency is charged once, after the bytes are through.
-        self._push(self.now + flow.latency,
-                   EV_OUTPUT_DONE if xfer.is_output else EV_TRANSFER_DONE, xfer.job)
+        self.seq += 1
+        heappush(self.heap, (self.now + flow.latency,
+                             EV_OUTPUT_DONE if is_output else EV_TRANSFER_DONE,
+                             job.index, self.seq, job))
 
     # Scheduling -----------------------------------------------------------
     def _try_dispatch(self) -> None:
@@ -207,15 +203,19 @@ class _Simulation:
 
     def _next_input(self, job: _JobState) -> None:
         """Start the job's next remote input file, or its compute if none is left."""
-        while job.files_left:
-            fid = job.files_left.popleft()
+        files = job.spec.input_files
+        while job.next_file < len(files):
+            fid = files[job.next_file]
+            job.next_file += 1
             size = self.file_size[fid]
             job.input_bytes += size
             if self._start_transfer(job, self.file_loc[fid], job.worker, size, False):
                 return
         job.input_time = self.now - job.start
         job.compute_time = job.spec.flops / self.nodes[job.worker].core_speed_flops
-        self._push(self.now + job.compute_time, EV_COMPUTE_DONE, job)
+        self.seq += 1
+        heappush(self.heap, (self.now + job.compute_time, EV_COMPUTE_DONE, job.index,
+                             self.seq, job))
 
     def _compute_done(self, job: _JobState) -> None:
         job.output_started = self.now
@@ -226,28 +226,27 @@ class _Simulation:
             self._output_done(job)
 
     def _output_done(self, job: _JobState) -> None:
-        spec = job.spec
-        self.traces[spec.job_index] = TraceRecord(
-            simulation_id=spec.simulation_id,
-            job_index=spec.job_index,
-            submission_time_s=spec.submission_time_s,
-            start_time_s=job.start,
-            end_time_s=self.now,
-            compute_time_s=job.compute_time,
-            input_files_transfer_time_s=job.input_time,
-            output_files_transfer_time_s=self.now - job.output_started,
-            input_bytes=job.input_bytes,
-            output_bytes=spec.output_files_size_bytes,
-            worker_id=job.worker,
-        )
+        spec, now = job.spec, self.now
+        self.traces[job.index] = TraceRecord(
+            spec.simulation_id, job.index, spec.submission_time_s, job.start, now,
+            job.compute_time, job.input_time, now - job.output_started, job.input_bytes,
+            spec.output_files_size_bytes, job.worker)
         self.free_cores[job.worker] += 1
         self._try_dispatch()
 
+    def _audit_cores(self) -> None:
+        for wid in self.worker_ids:
+            free = self.free_cores[wid]
+            if not 0 <= free <= self.nodes[wid].cores:
+                raise SimulationError(f"core conservation violated on {wid}: {free}")
+
     # Main loop ------------------------------------------------------------
     def run(self) -> list[TraceRecord]:
-        heap, flows, audit, inf = self.heap, self.flows, self.audit, math.inf
+        heap, flows, queue, audit, inf = self.heap, self.flows, self.queue, self.audit, math.inf
         active = flows.values()  # a live view
-        while heap or flows:
+        subs, cursor, n_subs = self.submissions, 0, len(self.submissions)  # subs[cursor] is next
+        sub_times = [j.spec.submission_time_s for j in subs] + [inf]  # with an end sentinel
+        while heap or flows or cursor < n_subs:
             now = self.now
             t_fluid = inf
             for flow in active:
@@ -256,7 +255,10 @@ class _Simulation:
                     t = now + (flow.pending[0][0] - flow.progress) / rate
                     if t < t_fluid:
                         t_fluid = t
+            t_sub = sub_times[cursor]
             t_event = heap[0][0] if heap else inf
+            if t_sub <= t_event:  # submissions go first at equal times
+                t_event = t_sub
             t = t_event if t_event < t_fluid else t_fluid
             if t == inf:
                 raise SimulationError("simulation stalled with pending work")
@@ -265,8 +267,8 @@ class _Simulation:
                 for flow in active:
                     flow.progress += flow.rate * dt
                     if audit:
-                        for _, _, xfer in flow.pending:
-                            xfer.audit_bytes += flow.rate * dt
+                        for xfer in flow.pending:
+                            xfer[5][0] += flow.rate * dt
             self.now = t
             if t_fluid <= t_event:
                 # Complete every transfer whose threshold has been reached.
@@ -279,27 +281,36 @@ class _Simulation:
                     pending = flow.pending
                     tol = 1e-6 + 1e-12 * abs(flow.progress) + flow.rate * step
                     while pending and pending[0][0] <= flow.progress + tol:
-                        self._finish_transfer(key, flow, heappop(pending)[2])
+                        self._finish_transfer(key, flow, heappop(pending))
+            elif t_sub == t:
+                queue.append(subs[cursor])
+                cursor += 1
+                self._try_dispatch()
+                if queue:  # every core is busy: this instant's other submissions queue
+                    while sub_times[cursor] == t:
+                        queue.append(subs[cursor])
+                        cursor += 1
             else:
-                _, kind, _, _, job = heappop(heap)
-                if kind == EV_SUBMIT:
-                    self.queue.append(job)
-                    self._try_dispatch()
-                elif kind == EV_TRANSFER_DONE:
-                    self._next_input(job)
-                elif kind == EV_COMPUTE_DONE:
-                    self._compute_done(job)
-                else:
-                    self._output_done(job)
+                started = self.started
+                while True:
+                    _, kind, _, _, job = heappop(heap)
+                    if kind == EV_TRANSFER_DONE:
+                        self._next_input(job)
+                    elif kind == EV_COMPUTE_DONE:
+                        self._compute_done(job)
+                    else:
+                        self._output_done(job)
+                    # no time advanced and no transfer opened: the scan still holds
+                    if dt > 0 or self.started != started or not heap or heap[0][0] != t:
+                        break
+                    if audit:
+                        self._audit_cores()
             if audit:
-                for wid in self.worker_ids:
-                    free = self.free_cores[wid]
-                    if not 0 <= free <= self.nodes[wid].cores:
-                        raise SimulationError(f"core conservation violated on {wid}: {free}")
-        missing = [j.spec.job_index for j in self.jobs if j.spec.job_index not in self.traces]
+                self._audit_cores()
+        missing = [j.index for j in self.jobs if j.index not in self.traces]
         if missing:
             raise SimulationError(f"jobs never completed: {missing[:10]}")
-        return [self.traces[j.spec.job_index] for j in self.jobs]
+        return [self.traces[j.index] for j in self.jobs]
 
 
 def run_simulation(platform: PlatformSpec, jobs: list[JobSpec],

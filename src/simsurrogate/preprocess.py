@@ -53,11 +53,37 @@ class Standardizer:
         })
 
     @classmethod
-    def from_json(cls, text: str) -> "Standardizer":
-        doc = json.loads(text)
-        return cls(np.asarray(doc["mean"], dtype=float),
-                   np.asarray(doc["std"], dtype=float),
+    def from_json(cls, text: str, source: str = "standardizer") -> "Standardizer":
+        """Parse `to_json`'s document; PreprocessError naming `source` if it
+        is not JSON or not a standardizer (see `from_dict`)."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PreprocessError(f"{source} is not JSON: {exc}") from None
+        return cls.from_dict(doc, source)
+
+    @classmethod
+    def from_dict(cls, doc, source: str = "standardizer") -> "Standardizer":
+        """An object whose 'mean' and 'std' are equal-length lists of finite
+        numbers and whose 'names' is a list of strings; else PreprocessError."""
+        if not (isinstance(doc, dict) and _finite_numbers(doc.get("mean"))
+                and _finite_numbers(doc.get("std")) and len(doc["mean"]) == len(doc["std"])
+                and isinstance(doc.get("names"), list)
+                and all(isinstance(n, str) for n in doc["names"])):
+            raise PreprocessError(f"{source} needs 'mean' and 'std' lists of finite numbers "
+                                  f"of equal length and a 'names' list of strings")
+        return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["std"], dtype=float),
                    tuple(doc["names"]))
+
+
+def _finite_numbers(value) -> bool:
+    """A JSON list of finite numbers; booleans and strings are not numbers."""
+    if not isinstance(value, list):
+        return False
+    try:
+        return all(not isinstance(v, bool) and math.isfinite(v) for v in value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def fit_standardizer(rows: np.ndarray, names: tuple[str, ...] = ()) -> Standardizer:

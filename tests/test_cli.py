@@ -238,6 +238,35 @@ class TestErrorPaths:
         # with no eval simulation the train samples are scored
         assert json.loads((base / "eval" / "report.json").read_text())["n_rows"] == 20
 
+    @staticmethod
+    def copy_of_pipeline(pipeline_dir, tmp_path) -> Path:
+        """A manifest over a copy of the shared pipeline's output tree."""
+        shutil.copytree(pipeline_dir / "out", tmp_path / "out")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(TINY | {"out": str(tmp_path / "out")}))
+        return manifest
+
+    @pytest.mark.parametrize("text", ['{"mean": [1]}', "[1]", '{"mean": [1, 2], "std": [1], '
+                                      '"names": []}', "{not json"])
+    def test_malformed_standardizer_exits_5(self, pipeline_dir, tmp_path, text):
+        manifest = self.copy_of_pipeline(pipeline_dir, tmp_path)
+        (tmp_path / "out" / "heterogeneous" / "preprocess" / "feature_std.json").write_text(text)
+        result = CliRunner().invoke(main, ["train", "--manifest", str(manifest)])
+        assert result.exit_code == 5, result.output
+        assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
+        assert "feature_std.json" in result.output
+
+    @pytest.mark.parametrize("doc", [{"runs": 5}, [], {"simulations": [{"simulation_id": 0}]},
+                                     {"simulations": [{"simulation_id": 0, "n_jobs": -1,
+                                                       "kind": "train"}]}])
+    def test_malformed_suite_exits_3(self, pipeline_dir, tmp_path, doc):
+        manifest = self.copy_of_pipeline(pipeline_dir, tmp_path)
+        (tmp_path / "out" / "heterogeneous" / "suite.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["preprocess", "--manifest", str(manifest)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
+        assert "suite.json needs a 'simulations' list" in result.output
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -287,6 +316,18 @@ class TestExperiment:
             assert std.names == staged_std.names
             np.testing.assert_allclose(std.mean, staged_std.mean, rtol=1e-6)
             np.testing.assert_allclose(std.std, staged_std.std, rtol=1e-6)
+
+    def test_standardizer_means_within_1e9_of_preprocess(self, staged):
+        """The two paths' standardizer means agree to 1e-9 relative, not
+        exactly: `write_workload_csv` rounds input and output sizes to whole
+        bytes and the trace CSV rounds times to nanoseconds, and `preprocess`
+        fits on what it reads back from those files, while `split_samples`
+        over `simulate_suite` fits on the unrounded values."""
+        man, base, (tables, lengths) = staged
+        *_, f_std, t_std = cli.split_samples(man, lengths, tables.__getitem__)
+        for std, name in ((f_std, "feature_std.json"), (t_std, "target_std.json")):
+            staged_mean = Standardizer.from_json((base / "preprocess" / name).read_text()).mean
+            np.testing.assert_allclose(std.mean, staged_mean, rtol=1e-9, atol=0)
 
     def test_checkpoint_config_and_bit_equal_r2_on_a_second_call(self, staged):
         man, _, suite = staged

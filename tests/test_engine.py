@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -326,3 +328,88 @@ class TestStarProperties:
                 assert running <= limit
         shuffled = data.draw(st.permutations(jobs))
         assert run_simulation(platform, shuffled, datasets, audit=True) == traces
+
+
+def random_case(rng, index):
+    """One random platform and workload built from `rng.random()` alone, whose
+    stream Python keeps the same across versions.  Even cases are stars of 1-6
+    workers around one storage node, odd cases two sites of workers whose site
+    links meet the storage's uplink; jobs come in bursts of equal submission
+    times, often more jobs than cores, with equal compute demands and
+    zero-latency links so that events fall on the same instant, and 0-4 input
+    files each that are empty, local to a worker, sub-ulp-sized or ordinary
+    (in about 40% of cases mostly empty)."""
+    def pick(options):
+        return options[int(rng.random() * len(options))]
+
+    def bandwidth():
+        return pick([1e6, 1.25e8, 1e9]) * (1.0 + rng.random())
+
+    workers = [f"w{i}" for i in range(1 + int(rng.random() * 6))]
+    speed = pick([1e9, 1e10])
+    nodes = [NodeSpec(w, "worker", cores=1 + int(rng.random() * 4),
+                      core_speed_flops=speed if rng.random() < 0.7 else 1e8 + 1e10 * rng.random())
+             for w in workers]
+    nodes.append(NodeSpec("s0", "storage", disk_read_bw_bps=bandwidth(),
+                          disk_write_bw_bps=bandwidth()))
+    ends = workers + ["s0"]
+    links = [LinkSpec(f"l_{n}", bandwidth(), pick([0.0, 0.0, 1e-4, 1e-2])) for n in ends]
+    if index % 2:
+        site = {w: f"site{i % 2}" for i, w in enumerate(workers)} | {"s0": "core"}
+        links += [LinkSpec(f"l_{s}", bandwidth(), pick([0.0, 1e-3])) for s in ("site0", "site1")]
+
+        def path(a, b):
+            hops = [f"l_{site[n]}" for n in (a, b) if site[n] != "core"]
+            middle = [] if site[a] == site[b] else list(dict.fromkeys(hops))
+            return (f"l_{a}", *middle, f"l_{b}")
+    else:
+        def path(a, b):
+            return (f"l_{a}", f"l_{b}")
+    routes = {(a, b): path(a, b) for a in ends for b in ends if a != b}
+    platform = PlatformSpec(tuple(nodes), tuple(links), routes)
+    validate_platform(platform)
+
+    quiet = rng.random() < 0.4  # mostly empty files: many events open no transfer
+
+    def size():
+        if quiet and rng.random() < 0.8:
+            return 0.0
+        return pick([0.0, 1e-9, 1e-300, 1.0, 1e3 + 1e9 * rng.random(), 5e7])
+
+    n_jobs = 1 + int(rng.random() * 60)
+    bursts = [0.0] + [pick([0.5, 1.0, 2.5, 10.0]) for _ in range(2)]
+    demands = [5e9, 2e10, 1e6 + 1e11 * rng.random()]
+    files, jobs = [], []
+    for i in range(n_jobs):
+        ids = [f"j{i}_f{k}" for k in range(int(rng.random() * 5))]
+        files += [FileSpec(f, size(), pick(["s0", "s0", *ends])) for f in ids]
+        jobs.append(job(i, flops=pick(demands), files=ids, out=size(),
+                        sub=pick(bursts) if rng.random() < 0.9 else 20.0 * rng.random()))
+    return platform, jobs, DatasetSpec(files=tuple(files))
+
+
+RANDOM_CASES_SHA256 = "b40777487310e48170d5214d001fd82ed22935002f9952be2c24e6d494fc7a7f"
+
+
+def test_random_platforms_digest():
+    """Traces of 300 random platforms and workloads (`random_case`, the audit
+    on in every other case) hash to one sha256 of their `repr`s.  The digest
+    was computed with the engine that queued every submission through its
+    event heap and ran one event per loop pass, before submissions moved to a
+    cursor and same-instant work was batched, so those paths are held to the
+    old engine's bits beyond the presets.  An audited case the audit stops is
+    hashed by its error message and then run without the audit: a 1-byte
+    transfer can finish within the completion tolerance yet more than 1e-6
+    bytes short of its size, which the audit reports."""
+
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for index in range(300):
+        platform, jobs, datasets = random_case(rng, index)
+        try:
+            traces = run_simulation(platform, jobs, datasets, audit=index % 2 == 0)
+        except SimulationError as exc:
+            digest.update(f"SimulationError: {exc}\n".encode())
+            traces = run_simulation(platform, jobs, datasets)
+        digest.update(repr(traces).encode())
+    assert digest.hexdigest() == RANDOM_CASES_SHA256
