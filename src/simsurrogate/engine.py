@@ -119,7 +119,7 @@ class _Simulation:
         self.queue: deque[_JobState] = deque()
         # (when, kind, job index, seq, job); seq is unique, so jobs are never compared
         self.heap: list[tuple[float, int, int, int, _JobState]] = []
-        self.seq = self.started = 0  # events and transfers numbered; transfers opened
+        self.seq = self.started = 0  # the last seq given out; transfers opened so far
         self.now = 0.0
         self.flows: dict[tuple[str, str], _RouteFlow] = {}
         self.traces: dict[int, TraceRecord] = {}
@@ -300,7 +300,7 @@ class _Simulation:
                         self._compute_done(job)
                     else:
                         self._output_done(job)
-                    # no time advanced and no transfer opened: the scan still holds
+                    # go on only while the scan holds: no time advanced, no transfer opened
                     if dt > 0 or self.started != started or not heap or heap[0][0] != t:
                         break
                     if audit:
