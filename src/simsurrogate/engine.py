@@ -166,7 +166,9 @@ class _Simulation:
         self._recompute_rates()
         return True
 
-    def _finish_transfer(self, key: tuple[str, str], flow: _RouteFlow, xfer: tuple) -> None:
+    def _finish_transfer(self, key: tuple[str, str], flow: _RouteFlow, xfer: tuple,
+                         tol: float) -> None:
+        """Close a transfer that `run` found within `tol` bytes of its threshold."""
         _, _, job, size, is_output, moved = xfer
         load = self.link_load
         for i in flow.links:
@@ -174,7 +176,15 @@ class _Simulation:
         if not flow.pending:
             del self.flows[key]
         self._recompute_rates()
-        if moved is not None and abs(moved[0] - size) > 1e-6 * max(1.0, size):
+        # A transfer is credited the rate * dt its route moved while it was
+        # pending, the same sum that advanced the route's progress past its
+        # threshold (progress at start + size).  The completion test lets
+        # progress stop up to tol short of the threshold, one advance can pass
+        # it by its rounding, and the threshold, the advances and the credit
+        # all round relative to the route's progress and clock, not to the
+        # transfer's size: so the credit lies within tol plus a few ulp of
+        # progress of the size, however small the transfer.
+        if moved is not None and abs(moved[0] - size) > tol + 4.0 * math.ulp(flow.progress):
             raise SimulationError(
                 f"work conservation violated: transferred {moved[0]} of {size} bytes"
             )
@@ -281,7 +291,7 @@ class _Simulation:
                     pending = flow.pending
                     tol = 1e-6 + 1e-12 * abs(flow.progress) + flow.rate * step
                     while pending and pending[0][0] <= flow.progress + tol:
-                        self._finish_transfer(key, flow, heappop(pending))
+                        self._finish_transfer(key, flow, heappop(pending), tol)
             elif t_sub == t:
                 queue.append(subs[cursor])
                 cursor += 1

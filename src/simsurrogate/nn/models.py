@@ -343,7 +343,9 @@ def rnn_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
     def backward(dout):
         d_act, u_inputs = cell.bptt(dout, act, out, saved, order, reverse, *us)
         rows = d_act.reshape(seq_len * batch, -1)
-        grads = [(rows @ w.T).reshape(x_d.shape), x_d.reshape(len(rows), in_dim).T @ rows]
+        # a plain-array x (layer 0's raw features) takes no gradient
+        dx = (rows @ w.T).reshape(x_d.shape) if isinstance(x, Tensor) else None
+        grads = [dx, x_d.reshape(len(rows), in_dim).T @ rows]
         col = 0
         for u, u_in in zip(us, u_inputs):
             grads.append(u_in.reshape(len(rows), hid).T @ rows[:, col:col + u.shape[1]])
@@ -351,6 +353,20 @@ def rnn_direction(x, p: dict, prefix: str, kind: str, reverse: bool = False):
         return (*grads, rows.sum(axis=0))
 
     return fused_node(out, operands, backward)
+
+
+def _fold_embedding(p: dict) -> dict:
+    """p with the linear embedding folded into layer 0's input projection:
+    each direction's W becomes embed.W @ W [in, gates*h] and its b becomes
+    embed.b @ W + b, so layer 0 reads the raw features.  Given Tensors, each
+    folded array is one tape node."""
+    folded = dict(p)
+    for direction in ("fwd", "bwd"):
+        pre = f"rnn0.{direction}"
+        w = p[f"{pre}.W"]
+        folded[f"{pre}.W"] = p["embed.W"] @ w
+        folded[f"{pre}.b"] = linear_forward(p["embed.b"], w, p[f"{pre}.b"])
+    return folded
 
 
 def bidirectional_forward(x, p: dict, layer_prefix: str, kind: str):
@@ -502,11 +518,13 @@ def model_forward(config: ModelConfig, p: dict, windows: np.ndarray,
         out = linear_forward(_encoder_forward(config, p, x, mask), p["out.W"], p["out.b"])
         return out.reshape(x.shape[0], x.shape[1], config.output_dim)
     # The recurrent stack runs time-major, on rows ordered (step, window).
+    # Layer 0 reads the raw features through the folded embedding: one
+    # [in, gates*h] matmul per row instead of [in, h] and then [h, gates*h].
     batch, seq_len = x.shape[0], x.shape[1]
-    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(seq_len * batch, -1)
-    h = linear_forward(rows, p["embed.W"], p["embed.b"]).reshape(seq_len, batch, -1)
+    h = np.ascontiguousarray(x.transpose(1, 0, 2))
     for layer in range(config.num_layers):
-        h = bidirectional_forward(h, p, f"rnn{layer}", config.architecture)
+        h = bidirectional_forward(h, _fold_embedding(p) if layer == 0 else p,
+                                  f"rnn{layer}", config.architecture)
     out = linear_forward(h.reshape(seq_len * batch, -1), p["out.W"], p["out.b"])
     return out.reshape(seq_len, batch, config.output_dim).transpose((1, 0, 2))
 

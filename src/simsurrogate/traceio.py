@@ -15,6 +15,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -288,32 +289,41 @@ def join_traces(scenario: str, workload_rows, traces) -> SampleTable:
 
 
 def write_samples_csv(path: str | Path, table: SampleTable) -> None:
-    # Rows are joined by hand rather than through csv.writer: every cell is a
-    # registry scenario name, an int or a float repr, none of which csv
-    # quotes, so the bytes (\r\n line ends included) are the same.
-    keys = zip(table.simulation_ids.tolist(), table.job_indices.tolist())
-    values = np.hstack([table.features, table.targets]).tolist()
+    # Rows are %-formatted rather than written through csv.writer: every cell
+    # is a registry scenario name, an int or a float repr (%r), none of which
+    # csv quotes, so the bytes (\r\n line ends included) are the same.
+    line = "%s,%d,%d" + ",%r" * (len(table.feature_names) + len(table.target_names)) + "\r\n"
+    columns = [table.simulation_ids.tolist(), table.job_indices.tolist(),
+               *table.features.T.tolist(), *table.targets.T.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(("scenario", "simulation_id", "job_index")
                                 + table.feature_names + table.target_names)
-        fh.write("".join(",".join([table.scenario, str(sid), str(jix), *map(repr, row)])
-                         + "\r\n" for (sid, jix), row in zip(keys, values)))
+        fh.write("".join([line % row for row in zip(repeat(table.scenario), *columns)]))
 
 
 def read_samples_csv(path: str | Path) -> SampleTable:
     lines = _read_lines(path)
     if len(lines) < 2:
         raise JoinError(f"no sample rows in {path}")
-    scenarios = {line.split(",", 1)[0] for line in lines[1:]}
-    if len(scenarios) != 1:
-        raise JoinError(f"{path}: rows mix scenarios {sorted(scenarios)}")
-    scenario = scenarios.pop()
+    rows = lines[1:]
+    scenario = rows[0].split(",", 1)[0]
+    if not all(map(str.startswith, rows, repeat(scenario + ","))):
+        scenarios = {row.split(",", 1)[0] for row in rows}
+        if len(scenarios) != 1:
+            raise JoinError(f"{path}: rows mix scenarios {sorted(scenarios)}")
     feats = feature_names(scenario)
     n_feat = len(feats)
     # by position: a scenario's features may repeat a key column's name
     expected = ("scenario", "simulation_id", "job_index") + feats + TARGET_OBSERVABLES
-    rows = _body(path, lines, expected)
-    keys = _loadtxt(path, rows, dtype=np.int64, usecols=(1, 2), ndmin=2)
-    values = _loadtxt(path, rows, dtype=np.float64, usecols=range(3, len(expected)), ndmin=2)
-    return SampleTable(scenario, keys[:, 0].copy(), keys[:, 1].copy(),
-                       values[:, :n_feat].copy(), values[:, n_feat:].copy(), feats)
+    _body(path, lines, expected)
+    # one float64 parse of every numeric column; keys below 2**53 are exact
+    values = _loadtxt(path, rows, dtype=np.float64, usecols=range(1, len(expected)), ndmin=2)
+    keys = values[:, :2]
+    exact = np.abs(keys) < 2.0**53
+    exact &= keys == np.trunc(keys)
+    if not exact.all():
+        row, col = np.argwhere(~exact)[0]
+        raise JoinError(f"{path}: {expected[1 + col]} {float(keys[row, col])!r} in data row "
+                        f"{row + 1} is not an integer below 2**53")
+    return SampleTable(scenario, keys[:, 0].astype(np.int64), keys[:, 1].astype(np.int64),
+                       values[:, 2:2 + n_feat].copy(), values[:, 2 + n_feat:].copy(), feats)

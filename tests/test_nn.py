@@ -196,11 +196,9 @@ class TestKernelNodes:
         assert check_grads(loss, params, 1e-5) < 1e-5
 
 
-def test_perfbench_sized_transformer_step_tape():
-    """A training step at h=32, 2 heads, 32 windows of 16 steps and 5
-    features: one node per linear layer, layer norm and GELU."""
-    config = ModelConfig("transformer", input_dim=5, output_dim=5, hidden_size=32,
-                         num_heads=2, window_size=16, batch_size=32)
+def perfbench_step_nodes(config) -> int:
+    """The tape nodes behind one training step's loss over 32 windows of 16
+    steps and 5 features, the last window partly masked."""
     rng = np.random.default_rng(0)
     mask = np.ones((32, 16), dtype=bool)
     mask[-1, 9:] = False
@@ -213,7 +211,26 @@ def test_perfbench_sized_transformer_step_tape():
             if id(parent) not in seen:
                 seen.add(id(parent))
                 todo.append(parent)
-    assert len(seen) <= 72
+    return len(seen)
+
+
+def test_perfbench_sized_transformer_step_tape():
+    """A training step at h=32, 2 heads, 32 windows of 16 steps and 5
+    features: one node per linear layer, layer norm and GELU."""
+    config = ModelConfig("transformer", input_dim=5, output_dim=5, hidden_size=32,
+                         num_heads=2, window_size=16, batch_size=32)
+    assert perfbench_step_nodes(config) <= 72
+
+
+@pytest.mark.parametrize("arch, hidden, nodes", [("bigru", 24, 32), ("bilstm", 32, 30)])
+def test_perfbench_sized_recurrent_step_tape(arch, hidden, nodes):
+    """A training step of perfbench's BiGRU (h=24) or BiLSTM (h=32).  Folding
+    the embedding into layer 0 adds one node per folded array (each
+    direction's W and b) and drops the embedding's own: 29 and 27 nodes
+    unfolded."""
+    config = ModelConfig(arch, input_dim=5, output_dim=5, hidden_size=hidden,
+                         window_size=16, batch_size=32)
+    assert perfbench_step_nodes(config) == nodes
 
 
 def sequence(rng, seq_len=3, batch=2, in_dim=4):
@@ -382,6 +399,51 @@ class TestBpttMatchesReferenceCells:
         for key, want in grads["reference"].items():
             err = max_relative_error(grads["fused"][key], want)
             assert err <= 1e-12, f"{key}: relative error {err:.1e}"
+
+
+@pytest.mark.parametrize("kind", ["bigru", "bilstm"])
+def test_direction_on_an_ndarray_input(kind):
+    """Layer 0 reads the raw features as a plain array: the parameters get
+    the gradients a Tensor input gives them, bit for bit."""
+    rng = np.random.default_rng(12)
+    params = rnn_params(rng, "c", 3, 4, kind)
+    x = rng.normal(size=(5, 2, 3))
+    weights = rng.normal(size=(5, 2, 4))
+    grads = []
+    for operand in (x, Tensor(x, requires_grad=True)):
+        p = wrap_params(params)
+        (rnn_direction(operand, p, "c", kind, reverse=True) * weights).sum().backward()
+        grads.append({k: t.grad for k, t in p.items()})
+    for key, want in grads[1].items():
+        np.testing.assert_array_equal(grads[0][key], want)
+
+
+class TestEmbeddingFold:
+    """The recurrent models run layer 0 on the raw features, with the linear
+    embedding folded into its input weights."""
+
+    @pytest.mark.parametrize("arch", ["bigru", "bilstm"])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_equals_unfolded_composition(self, arch, num_layers):
+        """The ndarray forward against the embedding's linear layer followed
+        by the stored layer-0 directions, over a masked batch."""
+        config = tiny_config(arch, num_layers=num_layers, hidden_size=8, window_size=6,
+                             seed=num_layers)
+        params = init_params(config)
+        rng = np.random.default_rng(20 + num_layers)
+        windows = rng.normal(size=(5, 6, 3))
+        mask = np.ones((5, 6), dtype=bool)
+        mask[1, 4:] = False
+        mask[4, 1:] = False
+        windows[~mask] = 0.0
+        got = model_forward(config, params, windows, mask)
+        h = linear_forward(windows.transpose(1, 0, 2), params["embed.W"], params["embed.b"])
+        for layer in range(num_layers):
+            h = concat([rnn_direction(h, params, f"rnn{layer}.fwd", arch),
+                        rnn_direction(h, params, f"rnn{layer}.bwd", arch, reverse=True)],
+                       axis=-1)
+        want = linear_forward(h, params["out.W"], params["out.b"]).transpose(1, 0, 2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def attention_params(rng, d):

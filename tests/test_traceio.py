@@ -218,6 +218,26 @@ def test_samples_csv_non_integer_key_rejected(tmp_path):
         read_samples_csv(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("key", ["9007199254740992", "1e300", "nan", "-inf"])
+def test_samples_csv_key_beyond_exact_integers_rejected(tmp_path, key):
+    """Keys are parsed as float64 with the other columns: one that is not an
+    integer float64 holds exactly is refused, not rounded."""
+    write_samples_csv(tmp_path / "samples.csv", awkward_table())
+    text = (tmp_path / "samples.csv").read_text(encoding="utf-8")
+    (tmp_path / "bad.csv").write_text(text.replace("heterogeneous,0,3,", f"heterogeneous,{key},3,"),
+                                      encoding="utf-8")
+    with pytest.raises(JoinError, match="simulation_id .* in data row 4 is not an integer"):
+        read_samples_csv(tmp_path / "bad.csv")
+
+
+def test_samples_csv_first_cell_without_a_comma(tmp_path):
+    """A data row with no comma is one scenario name, not a mix; the unknown
+    name is reported as before."""
+    (tmp_path / "bad.csv").write_text("scenario\r\nheterogeneous\r\n", encoding="utf-8")
+    with pytest.raises(WorkloadError, match="unknown scenario"):
+        read_samples_csv(tmp_path / "bad.csv")
+
+
 # -- the workload and trace files --------------------------------------------
 
 def csv_writer_workload(path, jobs, input_sizes):
