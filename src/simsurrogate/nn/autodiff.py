@@ -1,15 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough operations for attention and the loss.  Every op records its
-parents and a gradient closure; `backward` walks the tape in reverse
-topological order.  Broadcasting is supported; gradients are summed back to
-the parent's shape.
+Every op records its parents and a gradient closure; `backward` walks the
+tape in reverse topological order.  Broadcasting is supported; gradients are
+summed back to the parent's shape.
 
-The module-level ops (masked_fill, concat, softmax) take a Tensor or a plain
-ndarray, so model code written with them runs either on the tape or as plain
-numpy with no Tensor built. `fused_node` records one hand-written backward
-for several parents: the linear layer, layer norm, GELU and each recurrent
-direction are such nodes.
+Each model layer and the loss is one `fused_node`, a hand-written backward
+for several parents; the Tensor operators and `concat`, which also takes
+plain ndarrays, join those nodes.
 """
 
 from __future__ import annotations
@@ -143,16 +140,6 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                       parents=(self,), grad_fns=(grad,))
 
-    def exp(self):
-        out = np.exp(self.data)
-        return Tensor(out, parents=(self,), grad_fns=(lambda g: g * out,))
-
-    def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Where mask is True keep the value; where False substitute `value`."""
-        keep = np.asarray(mask, dtype=bool)
-        out = np.where(keep, self.data, value)
-        return Tensor(out, parents=(self,), grad_fns=(lambda g: np.where(keep, g, 0.0),))
-
     # -- backward ----------------------------------------------------------
     def backward(self, grad=None):
         if grad is None:
@@ -183,13 +170,6 @@ class Tensor:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
-
-
-def masked_fill(x, mask: np.ndarray, value: float):
-    """Where mask is True keep the value; where False substitute `value`."""
-    if isinstance(x, Tensor):
-        return x.masked_fill(mask, value)
-    return np.where(mask, x, value)
 
 
 def concat(items: list, axis: int = -1):
@@ -231,14 +211,3 @@ def fused_node(data: np.ndarray, parents: list, backward) -> Tensor:
     return Tensor(data, parents=tensors,
                   grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
 
-
-def softmax(x, axis: int = -1):
-    """Softmax along `axis`.  An ndarray is overwritten with the result."""
-    if not isinstance(x, Tensor):
-        x -= x.max(axis=axis, keepdims=True)
-        np.exp(x, out=x)
-        x /= x.sum(axis=axis, keepdims=True)
-        return x
-    # Subtracting the (detached) max is gradient-neutral and stabilizes exp.
-    e = (x - x.data.max(axis=axis, keepdims=True)).exp()
-    return e / e.sum(axis=axis, keepdims=True)

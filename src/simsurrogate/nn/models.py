@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ModelConfigError
-from .autodiff import Tensor, concat, fused_node, masked_fill, softmax
+from .autodiff import Tensor, concat, fused_node
 
 ARCHITECTURES = ("bigru", "bilstm", "transformer")
 
@@ -114,12 +114,12 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 # Each layer below is written once.  Given Tensor params, model_forward builds
 # the autodiff tape that training backpropagates; given the plain ndarray
 # params, the same code runs as numpy and builds no Tensor (prediction and
-# eval loss).  The linear layer, layer norm, GELU and a recurrent direction
-# are kernels whose forward is always numpy: on ndarrays they return the
-# result, and given any Tensor operand they add one tape node with a
-# hand-written backward (fused_node) over what the forward kept.  On the
-# numpy route GELU and softmax overwrite their input, and `+=` adds in place;
-# on a Tensor (which has no __iadd__) `h += y` rebinds h to a new tape node.
+# eval loss).  Each layer and the masked-MSE loss (train.mse_loss) is a
+# kernel whose forward is always numpy: on ndarrays it returns the result, and
+# given any Tensor operand it adds one tape node with a hand-written backward
+# (fused_node) over what the forward kept.  On the numpy route GELU overwrites
+# its input, and `+=` adds in place; on a Tensor (which has no __iadd__)
+# `h += y` rebinds h to a new tape node.
 
 
 def _arrays(operands) -> list:
@@ -455,24 +455,42 @@ def multi_head_attention(x, p: dict, prefix: str, num_heads: int,
     """Bidirectional scaled dot-product attention; padded keys get zero weight.
 
     x is [batch, T, d].  Q, K and V come from one fused [d, 3d] matmul over
-    [batch*T, d], with the 1/sqrt(d_head) score scale folded into the Q columns."""
-    batch, seq_len, d = x.shape
+    [batch*T, d], with the 1/sqrt(d_head) score scale folded into the Q columns.
+    Given Tensors, all up to the softmax-weighted values is one tape node that
+    keeps the weights P; its softmax backward is dS = P * (dP - rowsum(dP * P))."""
+    operands = [x, *(p[f"{prefix}.{n}"] for n in ("Wq", "Wk", "Wv", "bq", "bk", "bv"))]
+    x_d, wq, wk, wv, bq, bk, bv = _arrays(operands)
+    batch, seq_len, d = x_d.shape
     if d % num_heads != 0:
         raise ModelConfigError(f"model dim {d} not divisible by {num_heads} heads")
     d_head = d // num_heads
-    scale = 1.0 / math.sqrt(d_head)
-    w_qkv = concat([p[f"{prefix}.Wq"] * scale, p[f"{prefix}.Wk"], p[f"{prefix}.Wv"]], axis=1)
-    b_qkv = concat([p[f"{prefix}.bq"] * scale, p[f"{prefix}.bk"], p[f"{prefix}.bv"]], axis=0)
-    qkv = linear_forward(x.reshape(batch * seq_len, d), w_qkv, b_qkv)
+    rows = x_d.reshape(batch * seq_len, d)
+    cols = np.repeat([1.0 / math.sqrt(d_head), 1.0, 1.0], d)  # the score scale on Q
+    w_qkv = np.concatenate([wq, wk, wv], axis=1) * cols
+    qkv = linear_forward(rows, w_qkv, np.concatenate([bq, bk, bv]) * cols)
     # [batch, T, 3, heads, d_head] -> Q, K and V as [batch, heads, T, d_head]
-    qkv = qkv.reshape(batch, seq_len, 3, num_heads, d_head).transpose((2, 0, 3, 1, 4))
-    q, k, v = qkv[0], qkv[1], qkv[2]
-    scores = q @ k.transpose((0, 1, 3, 2))
+    q, k, v = qkv.reshape(batch, seq_len, 3, num_heads, d_head).transpose(2, 0, 3, 1, 4)
+    weights = q @ k.transpose(0, 1, 3, 2)
     if mask is not None:
-        scores = masked_fill(scores, np.asarray(mask, dtype=bool)[:, None, None, :], -1e30)
-    mixed = softmax(scores, axis=-1) @ v  # [batch, heads, T, d_head]
-    merged = mixed.transpose((0, 2, 1, 3)).reshape(batch * seq_len, d)
-    return linear_forward(merged, p[f"{prefix}.Wo"], p[f"{prefix}.bo"]).reshape(batch, seq_len, d)
+        weights = np.where(np.asarray(mask, dtype=bool)[:, None, None, :], weights, -1e30)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    mixed = (weights @ v).transpose(0, 2, 1, 3).reshape(batch * seq_len, d)
+    if _on_tape(operands):
+        def backward(g):
+            d_out = g.reshape(batch, seq_len, num_heads, d_head).transpose(0, 2, 1, 3)
+            d_s = d_out @ v.transpose(0, 1, 3, 2)
+            d_s -= (d_s * weights).sum(axis=-1, keepdims=True)
+            d_s *= weights
+            d_qkv = np.stack([d_s @ k, d_s.transpose(0, 1, 3, 2) @ q,
+                              weights.transpose(0, 1, 3, 2) @ d_out])
+            d_rows = d_qkv.transpose(1, 3, 0, 2, 4).reshape(batch * seq_len, 3 * d)
+            d_w, d_b = (rows.T @ d_rows) * cols, d_rows.sum(axis=0) * cols
+            return (d_rows @ w_qkv.T).reshape(x_d.shape), *np.hsplit(d_w, 3), *np.split(d_b, 3)
+
+        mixed = fused_node(mixed, operands, backward)
+    return linear_forward(mixed, p[f"{prefix}.Wo"], p[f"{prefix}.bo"]).reshape(batch, seq_len, d)
 
 
 def sinusoidal_encoding(seq_len: int, dim: int) -> np.ndarray:

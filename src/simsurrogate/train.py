@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .nn.autodiff import masked_fill
+from .nn.autodiff import Tensor, fused_node
 from .nn.models import ModelConfig, init_params, model_forward, wrap_params
 from .preprocess import WindowBatch
 
@@ -29,14 +29,24 @@ class TrainConfig:
 
 def mse_loss(pred, target: np.ndarray, mask: np.ndarray):
     """Mean squared error over mask-true positions and all observables; a
-    Tensor on the tape for a Tensor `pred`, a float64 for an ndarray."""
-    mask = np.asarray(mask, dtype=bool)
+    Tensor on the tape for a Tensor `pred`, a float64 for an ndarray.  The node's
+    backward is the composed tape's m + m, m = where(mask, g * scale, 0) * diff."""
+    mask = np.asarray(mask, dtype=bool)[..., None]
     n_real = int(mask.sum())
     if n_real == 0:
         raise TrainingError("mask is all-false; no real positions to score")
-    diff = pred - np.asarray(target, dtype=float)
-    sq = masked_fill(diff * diff, mask[..., None], 0.0)
-    return sq.sum() * (1.0 / (n_real * pred.shape[-1]))
+    on_tape = isinstance(pred, Tensor)
+    diff = (pred.data if on_tape else pred) - np.asarray(target, dtype=float)
+    scale = 1.0 / (n_real * diff.shape[-1])
+    loss = np.where(mask, diff * diff, 0.0).sum() * scale
+    if not on_tape:
+        return loss
+
+    def backward(g):
+        m = np.where(mask, g * scale, 0.0) * diff
+        return (m + m,)
+
+    return fused_node(loss, (pred,), backward)
 
 
 class Adam:

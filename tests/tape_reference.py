@@ -1,16 +1,20 @@
 """Tape-built references the tests hold the hand-written kernels in
-`nn.models` to.
+`nn.models` and `train` to.
 
-- The linear layer, layer norm and GELU composed of elementwise tape ops, as
-  `nn.models` wrote them before each became one node with its own backward.
+- The linear layer, layer norm, GELU, attention and the masked-MSE loss
+  composed of elementwise tape ops, as `nn.models` and `train` wrote them
+  before each became one node with its own backward.
 - The per-gate GRU and LSTM cells, run one step at a time on the autodiff
   tape over slices of the fused parameters, for the hand-written BPTT.
 
-The tape ops only these references use (`mean`, `sqrt`, `tanh`, `sigmoid`
-and `stack`) live here too."""
+The tape ops only these references use (`mean`, `sqrt`, `tanh`, `exp`,
+`sigmoid`, `masked_fill`, `softmax` and `stack`) live here too."""
+
+import math
 
 import numpy as np
 
+from simsurrogate.errors import TrainingError
 from simsurrogate.nn.autodiff import Tensor, concat
 from simsurrogate.nn.models import RNN_CELLS
 
@@ -44,6 +48,55 @@ def composed_layer_norm(x, g, b, eps: float = 1e-6):
 def composed_gelu(x):
     inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + tanh(inner))
+
+
+def exp(x: Tensor) -> Tensor:
+    out = np.exp(x.data)
+    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * out,))
+
+
+def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
+    """Where mask is True keep the value; where False substitute `value`."""
+    keep = np.asarray(mask, dtype=bool)
+    return Tensor(np.where(keep, x.data, value), parents=(x,),
+                  grad_fns=(lambda g: np.where(keep, g, 0.0),))
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    # Subtracting the (detached) max is gradient-neutral and stabilizes exp.
+    e = exp(x - x.data.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def composed_attention(x, p: dict, prefix: str, num_heads: int, mask=None):
+    """multi_head_attention as scale, concat, matmul, masked_fill and softmax
+    nodes, with the output projection."""
+    batch, seq_len, d = x.shape
+    d_head = d // num_heads
+    scale = 1.0 / math.sqrt(d_head)
+    w_qkv = concat([p[f"{prefix}.Wq"] * scale, p[f"{prefix}.Wk"], p[f"{prefix}.Wv"]], axis=1)
+    b_qkv = concat([p[f"{prefix}.bq"] * scale, p[f"{prefix}.bk"], p[f"{prefix}.bv"]], axis=0)
+    qkv = composed_linear(x.reshape(batch * seq_len, d), w_qkv, b_qkv)
+    qkv = qkv.reshape(batch, seq_len, 3, num_heads, d_head).transpose((2, 0, 3, 1, 4))
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = q @ k.transpose((0, 1, 3, 2))
+    if mask is not None:
+        scores = masked_fill(scores, np.asarray(mask, dtype=bool)[:, None, None, :], -1e30)
+    mixed = softmax(scores, axis=-1) @ v
+    merged = mixed.transpose((0, 2, 1, 3)).reshape(batch * seq_len, d)
+    out = composed_linear(merged, p[f"{prefix}.Wo"], p[f"{prefix}.bo"])
+    return out.reshape(batch, seq_len, d)
+
+
+def composed_mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
+    """train.mse_loss as subtract, square, masked_fill, sum and scale nodes."""
+    mask = np.asarray(mask, dtype=bool)
+    n_real = int(mask.sum())
+    if n_real == 0:
+        raise TrainingError("mask is all-false; no real positions to score")
+    diff = pred - np.asarray(target, dtype=float)
+    sq = masked_fill(diff * diff, mask[..., None], 0.0)
+    return sq.sum() * (1.0 / (n_real * pred.shape[-1]))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -1,23 +1,27 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from tape_reference import (
+    composed_attention,
     composed_gelu,
     composed_layer_norm,
     composed_linear,
     gru_cell,
+    masked_fill,
     reference_direction,
     reference_forward,
     rnn_params,
+    softmax,
     stack,
 )
 
 from simsurrogate.errors import ModelConfigError
 from simsurrogate import evaluate
 from simsurrogate.evaluate import predict_rows
-from simsurrogate.nn.autodiff import Tensor, concat, softmax
+from simsurrogate.nn.autodiff import Tensor, concat
 from simsurrogate.nn.models import (
     ModelConfig,
     _gelu,
@@ -196,15 +200,19 @@ class TestKernelNodes:
         assert check_grads(loss, params, 1e-5) < 1e-5
 
 
-def perfbench_step_nodes(config) -> int:
-    """The tape nodes behind one training step's loss over 32 windows of 16
-    steps and 5 features, the last window partly masked."""
+def perfbench_step_loss(config, params):
+    """One training step's loss over 32 windows of 16 steps and 5 features,
+    the last window partly masked."""
     rng = np.random.default_rng(0)
     mask = np.ones((32, 16), dtype=bool)
     mask[-1, 9:] = False
-    loss = mse_loss(model_forward(config, wrap_params(init_params(config)),
-                                  rng.normal(size=(32, 16, 5)), mask),
+    return mse_loss(model_forward(config, params, rng.normal(size=(32, 16, 5)), mask),
                     rng.normal(size=(32, 16, 5)), mask)
+
+
+def perfbench_step_nodes(config) -> int:
+    """The tape nodes behind perfbench_step_loss."""
+    loss = perfbench_step_loss(config, wrap_params(init_params(config)))
     seen, todo = {id(loss)}, [loss]
     while todo:
         for parent in todo.pop().parents:
@@ -214,20 +222,38 @@ def perfbench_step_nodes(config) -> int:
     return len(seen)
 
 
+PERFBENCH_TRANSFORMER = ModelConfig("transformer", input_dim=5, output_dim=5, hidden_size=32,
+                                    num_heads=2, window_size=16, batch_size=32)
+
+
 def test_perfbench_sized_transformer_step_tape():
     """A training step at h=32, 2 heads, 32 windows of 16 steps and 5
-    features: one node per linear layer, layer norm and GELU."""
-    config = ModelConfig("transformer", input_dim=5, output_dim=5, hidden_size=32,
-                         num_heads=2, window_size=16, batch_size=32)
-    assert perfbench_step_nodes(config) <= 72
+    features: one node per linear layer, layer norm, GELU, attention and the
+    loss.  Composed of elementwise ops, attention and the loss made it 71."""
+    assert perfbench_step_nodes(PERFBENCH_TRANSFORMER) == 42
 
 
-@pytest.mark.parametrize("arch, hidden, nodes", [("bigru", 24, 32), ("bilstm", 32, 30)])
+def test_perfbench_sized_transformer_step_memory():
+    """The step's forward and backward peak under 7.5 MiB of traced
+    allocations: 6.7 MiB with one attention node that keeps the weights P,
+    8.5 MiB when each elementwise op of attention and the loss kept its own
+    score- or output-shaped array."""
+    params = wrap_params(init_params(PERFBENCH_TRANSFORMER))
+    tracemalloc.start()
+    try:
+        perfbench_step_loss(PERFBENCH_TRANSFORMER, params).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 2**20
+
+
+@pytest.mark.parametrize("arch, hidden, nodes", [("bigru", 24, 26), ("bilstm", 32, 24)])
 def test_perfbench_sized_recurrent_step_tape(arch, hidden, nodes):
     """A training step of perfbench's BiGRU (h=24) or BiLSTM (h=32).  Folding
     the embedding into layer 0 adds one node per folded array (each
-    direction's W and b) and drops the embedding's own: 29 and 27 nodes
-    unfolded."""
+    direction's W and b) and drops the embedding's own; the loss is one node,
+    where its elementwise ops took seven: 32 and 30 nodes then."""
     config = ModelConfig(arch, input_dim=5, output_dim=5, hidden_size=hidden,
                          window_size=16, batch_size=32)
     assert perfbench_step_nodes(config) == nodes
@@ -482,10 +508,17 @@ class TestAttention:
         q = (x @ p["a.Wq"] + p["a.bq"]).reshape(1, 4, 2, 2).transpose((0, 2, 1, 3))
         k = (x @ p["a.Wk"] + p["a.bk"]).reshape(1, 4, 2, 2).transpose((0, 2, 1, 3))
         scores = (q @ k.transpose((0, 1, 3, 2))) * (1 / math.sqrt(2))
-        scores = scores.masked_fill(mask[:, None, None, :], -1e30)
+        scores = masked_fill(scores, mask[:, None, None, :], -1e30)
         weights = softmax(scores, axis=-1).data
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
         assert (weights[..., 3] == 0.0).all()
+        # The kernel gives the padded key zero weight too: the real positions'
+        # outputs do not move, by a bit, when its input does.
+        raw = {k: t.data for k, t in p.items()}
+        moved = x.data.copy()
+        moved[0, 3] += 5.0
+        got = [multi_head_attention(a, raw, "a", 2, mask)[0, :3] for a in (x.data, moved)]
+        np.testing.assert_array_equal(got[0], got[1])
 
     def test_divisibility_enforced(self):
         with pytest.raises(ModelConfigError, match="divisible"):
@@ -515,6 +548,64 @@ class TestAttention:
                     * Tensor(weights)).sum()
 
         assert check_grads(loss, p, 1e-4) < 1e-4
+
+
+ATTENTION_OPERANDS = ("x", "a.Wq", "a.Wk", "a.Wv", "a.bq", "a.bk", "a.bv")
+
+
+class TestAttentionNode:
+    """Attention up to the softmax-weighted values is one tape node, held to
+    the composed scale, concat, matmul, masked_fill and softmax nodes."""
+
+    @staticmethod
+    def case(seed, masked):
+        rng = np.random.default_rng(seed)
+        p = attention_params(rng, 6)
+        x = rng.normal(size=(3, 5, 6))
+        mask = None
+        if masked:
+            mask = np.ones((3, 5), dtype=bool)
+            mask[1, 3:] = False
+            mask[2, 1:] = False
+        return p, x, mask, rng.normal(size=(3, 5, 6))
+
+    def test_one_node(self):
+        p, x, mask, _ = self.case(0, True)
+        tensors = wrap_params({"x": x, **p})
+        out = multi_head_attention(tensors["x"], tensors, "a", 3, mask)
+        linear = out.parents[0]  # the reshape's parent: the output projection
+        assert linear.parents[1:] == (tensors["a.Wo"], tensors["a.bo"])
+        assert linear.parents[0].parents == tuple(tensors[k] for k in ATTENTION_OPERANDS)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "padded"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradients_match_composed_attention(self, seed, masked):
+        p, x, mask, weights = self.case(seed, masked)
+        grads, outs = [], []
+        for fn in (multi_head_attention, composed_attention):
+            tensors = wrap_params({"x": x, **p})
+            out = fn(tensors["x"], tensors, "a", 3, mask)
+            (out * weights).sum().backward()
+            outs.append(out.data)
+            grads.append({k: t.grad for k, t in tensors.items()})
+        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-14 * np.abs(outs[1]).max())
+        fused, tape = grads
+        largest = max(np.abs(g).max() for g in tape.values())
+        for key, want in tape.items():
+            if key == "a.bk":
+                # Softmax ignores a per-row shift, so bk's true gradient is 0
+                # and both sides hold rounding noise: bound it by the largest.
+                assert np.abs(fused[key]).max() <= 1e-14 * largest
+                assert np.abs(want).max() <= 1e-14 * largest
+                continue
+            err = max_relative_error(fused[key], want)
+            assert err <= 1e-12, f"{key}: relative error {err:.1e}"
+
+    def test_tensor_and_ndarray_forwards_bit_equal(self):
+        p, x, mask, _ = self.case(2, True)
+        tensors = wrap_params({"x": x, **p})
+        on_tape = multi_head_attention(tensors["x"], tensors, "a", 3, mask).data
+        assert np.array_equal(multi_head_attention(x, p, "a", 3, mask), on_tape)
 
 
 def tiny_config(arch, **kw):

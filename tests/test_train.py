@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from tape_reference import composed_mse_loss
 
+from simsurrogate import train
 from simsurrogate.errors import TrainingError
 from simsurrogate.nn.autodiff import Tensor
 from simsurrogate.nn.models import ModelConfig, init_params, model_forward, wrap_params
@@ -52,10 +56,31 @@ class TestMseLoss:
         mask = rng.random((3, 4)) < 0.7
         assert float(mse_loss(pred, target, mask)) == float(mse_loss(Tensor(pred), target, mask).data)
 
-    def test_all_false_mask_rejected(self):
+    @pytest.mark.parametrize("loss", [mse_loss, composed_mse_loss])
+    def test_all_false_mask_rejected(self, loss):
         with pytest.raises(TrainingError, match="all-false"):
-            mse_loss(Tensor(np.zeros((1, 2, 1))), np.zeros((1, 2, 1)),
-                     np.zeros((1, 2), dtype=bool))
+            loss(Tensor(np.zeros((1, 2, 1))), np.zeros((1, 2, 1)),
+                 np.zeros((1, 2), dtype=bool))
+
+    def test_one_node_bit_equal_to_composed_tape(self):
+        """The node's loss and pred gradient are the composed subtract,
+        square, masked_fill, sum and scale nodes' to the bit, with garbage
+        at the padded positions."""
+        rng = np.random.default_rng(2)
+        pred, target = rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5, 3))
+        mask = rng.random((4, 5)) < 0.6
+        target[~mask] = 1e9
+        results = []
+        for loss_fn in (mse_loss, composed_mse_loss):
+            tensor = Tensor(pred, requires_grad=True)
+            loss = loss_fn(tensor, target, mask)
+            loss.backward(np.float64(0.7))
+            results.append((loss, tensor))
+        (node, pred_node), (composed, pred_composed) = results
+        assert node.parents == (pred_node,)
+        assert node.data.tobytes() == composed.data.tobytes()
+        assert pred_node.grad.tobytes() == pred_composed.grad.tobytes()
+        assert not pred_node.grad[~mask].any()
 
 
 class TestAdam:
@@ -144,3 +169,66 @@ class TestTrainModel:
         train_batch.windows[0, 0, 0] = np.nan
         with pytest.raises(TrainingError, match="diverged at epoch"):
             train_model(config, train_batch, eval_batch)
+
+
+def three_epochs(arch):
+    """Params and history of 3 epochs on 8 train and 2 eval windows of 6
+    steps, three of them partly padded."""
+    rng = np.random.default_rng(21)
+    x, y = rng.normal(size=(10, 6, 3)), rng.normal(size=(10, 6, 2))
+    mask = np.ones((10, 6), dtype=bool)
+    mask[3, 2:] = False
+    mask[7, 4:] = False
+    mask[9, 1:] = False
+    config = TrainConfig(ModelConfig(arch, input_dim=3, output_dim=2, hidden_size=5,
+                                     window_size=6, batch_size=4, seed=1),
+                         max_epochs=3, patience=3, seed=2)
+    return train_model(config, batch_from_arrays(x[:8], y[:8], mask[:8]),
+                       batch_from_arrays(x[8:], y[8:], mask[8:]))
+
+
+def digest(params, history) -> str:
+    sha = hashlib.sha256()
+    for name, value in sorted(params.items()):
+        sha.update(name.encode("utf-8"))
+        sha.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    for stats in history:
+        sha.update(np.array([stats.train_loss, stats.eval_loss], dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+def arithmetic_canary() -> str:
+    """A digest of the numpy and BLAS results the recurrent training digests
+    rest on (exp, tanh, sums, 2-D and broadcast matmuls), which a numpy build
+    or CPU with other SIMD kernels may round differently."""
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(4, 6, 5))
+    sha = hashlib.sha256()
+    for out in (np.exp(v), np.tanh(v), v @ rng.normal(size=(5, 15)), v.sum(),
+                rng.normal(size=(4, 1, 6, 3)) @ rng.normal(size=(3, 3, 5))):
+        sha.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("arch", ["bigru", "bilstm"])
+def test_recurrent_training_bit_equal_with_composed_loss(arch, monkeypatch):
+    """Three epochs with the loss node give the parameters and history that
+    the composed loss tape gives, to the bit.  (The eval loss is on ndarrays
+    and takes mse_loss either way.)"""
+    node = digest(*three_epochs(arch))
+    monkeypatch.setattr(train, "mse_loss", lambda pred, *rest: (
+        composed_mse_loss if isinstance(pred, Tensor) else mse_loss)(pred, *rest))
+    assert digest(*three_epochs(arch)) == node
+
+
+@pytest.mark.parametrize("arch, expected", [
+    ("bigru", "eae5c788c25c54ca386f3bc07377e9b70588dcaa2dbad131916db450bfb7e810"),
+    ("bilstm", "ca15ecacfb5c8039459daac0ac98fe1efd9ca21ed9100f3ccdb3f28c1526b518"),
+])
+def test_recurrent_training_digest(arch, expected):
+    """Three epochs of recurrent training pinned across commits.  The digests
+    were computed with the composed-tape loss (numpy 2.4.6, OpenBLAS, x86-64)
+    and hold while the BiGRU and BiLSTM train bit-identically to it."""
+    if arithmetic_canary() != "02beddac7c385c231bfb30a0bc6368829126f7d40f1a98b436b91173f667599c":
+        pytest.skip("this numpy build rounds the canary operations differently")
+    assert digest(*three_epochs(arch)) == expected
