@@ -514,10 +514,10 @@ class TestAttention:
         assert (weights[..., 3] == 0.0).all()
         # The kernel gives the padded key zero weight too: the real positions'
         # outputs do not move, by a bit, when its input does.
-        raw = {k: t.data for k, t in p.items()}
+        raw = {name: t.data for name, t in p.items()}
         moved = x.data.copy()
         moved[0, 3] += 5.0
-        got = [multi_head_attention(a, raw, "a", 2, mask)[0, :3] for a in (x.data, moved)]
+        got = [multi_head_attention(arg, raw, "a", 2, mask)[0, :3] for arg in (x.data, moved)]
         np.testing.assert_array_equal(got[0], got[1])
 
     def test_divisibility_enforced(self):
@@ -550,9 +550,6 @@ class TestAttention:
         assert check_grads(loss, p, 1e-4) < 1e-4
 
 
-ATTENTION_OPERANDS = ("x", "a.Wq", "a.Wk", "a.Wv", "a.bq", "a.bk", "a.bv")
-
-
 class TestAttentionNode:
     """Attention up to the softmax-weighted values is one tape node, held to
     the composed scale, concat, matmul, masked_fill and softmax nodes."""
@@ -575,7 +572,8 @@ class TestAttentionNode:
         out = multi_head_attention(tensors["x"], tensors, "a", 3, mask)
         linear = out.parents[0]  # the reshape's parent: the output projection
         assert linear.parents[1:] == (tensors["a.Wo"], tensors["a.bo"])
-        assert linear.parents[0].parents == tuple(tensors[k] for k in ATTENTION_OPERANDS)
+        operands = ("x", "a.Wq", "a.Wk", "a.Wv", "a.bq", "a.bk", "a.bv")
+        assert linear.parents[0].parents == tuple(tensors[k] for k in operands)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["full", "padded"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -588,7 +586,7 @@ class TestAttentionNode:
             (out * weights).sum().backward()
             outs.append(out.data)
             grads.append({k: t.grad for k, t in tensors.items()})
-        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-14 * np.abs(outs[1]).max())
+        np.testing.assert_array_equal(outs[0], outs[1])
         fused, tape = grads
         largest = max(np.abs(g).max() for g in tape.values())
         for key, want in tape.items():

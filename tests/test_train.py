@@ -56,11 +56,11 @@ class TestMseLoss:
         mask = rng.random((3, 4)) < 0.7
         assert float(mse_loss(pred, target, mask)) == float(mse_loss(Tensor(pred), target, mask).data)
 
-    @pytest.mark.parametrize("loss", [mse_loss, composed_mse_loss])
-    def test_all_false_mask_rejected(self, loss):
-        with pytest.raises(TrainingError, match="all-false"):
-            loss(Tensor(np.zeros((1, 2, 1))), np.zeros((1, 2, 1)),
-                 np.zeros((1, 2), dtype=bool))
+    def test_all_false_mask_rejected(self):
+        for loss in (mse_loss, composed_mse_loss):
+            with pytest.raises(TrainingError, match="all-false"):
+                loss(Tensor(np.zeros((1, 2, 1))), np.zeros((1, 2, 1)),
+                     np.zeros((1, 2), dtype=bool))
 
     def test_one_node_bit_equal_to_composed_tape(self):
         """The node's loss and pred gradient are the composed subtract,
