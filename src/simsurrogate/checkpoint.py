@@ -47,23 +47,24 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise TrainingError(f"{path} is not a checkpoint: not an .npz archive")
+        with data:
+            members = {k: data[k] for k in data.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise TrainingError(f"{path} is not a checkpoint: {exc}") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise TrainingError(f"{path} is not a checkpoint: not an .npz archive")
-    with data:
-        if "__header__" not in data.files:
-            raise TrainingError(f"{path} is not a checkpoint: it has no __header__")
-        try:
-            header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        except ValueError as exc:
-            raise TrainingError(f"{path} is not a checkpoint: bad header: {exc}") from None
-        if not isinstance(header, dict):
-            raise TrainingError(f"{path} is not a checkpoint: its header is not a JSON object")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise TrainingError(f"unsupported checkpoint version {header.get('version')}; "
-                                f"this build reads version {CHECKPOINT_VERSION}, retrain the model")
-        params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    if "__header__" not in members:
+        raise TrainingError(f"{path} is not a checkpoint: it has no __header__")
+    try:
+        header = json.loads(bytes(members["__header__"]).decode("utf-8"))
+    except ValueError as exc:
+        raise TrainingError(f"{path} is not a checkpoint: bad header: {exc}") from None
+    if not isinstance(header, dict):
+        raise TrainingError(f"{path} is not a checkpoint: its header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise TrainingError(f"unsupported checkpoint version {header.get('version')}; "
+                            f"this build reads version {CHECKPOINT_VERSION}, retrain the model")
+    params = {k[len("param/"):]: v for k, v in members.items() if k.startswith("param/")}
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise TrainingError(f"checkpoint header is missing {missing}")
@@ -98,7 +99,7 @@ def _standardizer(header: dict, key: str) -> Standardizer:
 
 def _validate(ckpt: Checkpoint) -> None:
     """A known scenario whose feature count is the model's input width,
-    parameter names and shapes as init_params(config) makes them, and
+    parameter names, shapes and dtype as init_params(config) makes them, and
     standardizers as wide as the model's input and output."""
     features = get_scenario(ckpt.scenario).features
     if ckpt.config.input_dim != len(features):
@@ -111,9 +112,10 @@ def _validate(ckpt: Checkpoint) -> None:
             f"{sorted(set(expected) - set(ckpt.params))}, "
             f"unexpected {sorted(set(ckpt.params) - set(expected))}")
     for name, init in expected.items():
-        if ckpt.params[name].shape != init.shape:
-            raise TrainingError(f"checkpoint parameter {name} has shape "
-                                f"{ckpt.params[name].shape}, config needs {init.shape}")
+        value = ckpt.params[name]
+        if value.shape != init.shape or value.dtype != np.float64:
+            raise TrainingError(f"checkpoint parameter {name} has shape {value.shape} and dtype "
+                                f"{value.dtype}, config needs {init.shape} float64")
     for what, std, dim in (("feature", ckpt.feature_std, ckpt.config.input_dim),
                            ("target", ckpt.target_std, ckpt.config.output_dim)):
         if std.mean.shape != (dim,) or std.std.shape != (dim,):

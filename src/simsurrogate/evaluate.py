@@ -6,7 +6,7 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +129,8 @@ def predict_rows(config: ModelConfig, params: dict[str, np.ndarray],
     """Original-scale predictions aligned with table rows, plus wall-clock."""
     t0 = time.perf_counter()
     # only the features are read: the targets go in as a zero-width column block
-    scaled = SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                         feature_std.transform(table.features), np.empty((len(table), 0)),
-                         table.feature_names, ())
+    scaled = replace(table, features=feature_std.transform(table.features),
+                     targets=np.empty((len(table), 0)), target_names=())
     batch = make_windows(scaled, config.window_size, config.window_overlap)
     preds = np.empty((len(batch), config.window_size, config.output_dim))
     step = inference_chunk(config)

@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every op records its parents and a gradient closure; `backward` walks the
-tape in reverse topological order.  Broadcasting is supported; gradients are
-summed back to the parent's shape.
+Every op records its parents and one backward function, which maps the
+node's gradient to its parents' gradients in parent order; `backward` walks
+the tape in reverse topological order and calls it once per node.
+Broadcasting is supported; gradients are summed back to the parent's shape.
 
 Each model layer and the loss is one `fused_node`, a hand-written backward
 for several parents; the Tensor operators and `concat`, which also takes
@@ -28,17 +29,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "grad_fns", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "requires_grad")
     # numpy operators return NotImplemented, so `ndarray + Tensor` and
     # `ndarray @ Tensor` reach the reflected methods below and stay on the tape.
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad=False, parents=(), grad_fns=()):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.parents = parents if self.requires_grad else ()
-        self.grad_fns = grad_fns if self.requires_grad else ()
+        self.backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -51,19 +52,13 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Tensor(
-            self.data + other.data,
-            parents=(self, other),
-            grad_fns=(
-                lambda g: _unbroadcast(g, self.data.shape),
-                lambda g: _unbroadcast(g, other.data.shape),
-            ),
-        )
+        return Tensor(self.data + other.data, parents=(self, other), backward_fn=lambda g: (
+            _unbroadcast(g, self.data.shape), _unbroadcast(g, other.data.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor(-self.data, parents=(self,), grad_fns=(lambda g: -g,))
+        return Tensor(-self.data, parents=(self,), backward_fn=lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -73,39 +68,23 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return Tensor(
-            self.data * other.data,
-            parents=(self, other),
-            grad_fns=(
-                lambda g: _unbroadcast(g * other.data, self.data.shape),
-                lambda g: _unbroadcast(g * self.data, other.data.shape),
-            ),
-        )
+        return Tensor(self.data * other.data, parents=(self, other), backward_fn=lambda g: (
+            _unbroadcast(g * other.data, self.data.shape),
+            _unbroadcast(g * self.data, other.data.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        return Tensor(
-            self.data / other.data,
-            parents=(self, other),
-            grad_fns=(
-                lambda g: _unbroadcast(g / other.data, self.data.shape),
-                lambda g: _unbroadcast(-g * self.data / other.data**2, other.data.shape),
-            ),
-        )
+        return Tensor(self.data / other.data, parents=(self, other), backward_fn=lambda g: (
+            _unbroadcast(g / other.data, self.data.shape),
+            _unbroadcast(-g * self.data / other.data**2, other.data.shape)))
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
-        out = self.data @ other.data
-
-        def grad_a(g):
-            return _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
-
-        def grad_b(g):
-            return _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
-
-        return Tensor(out, parents=(self, other), grad_fns=(grad_a, grad_b))
+        return Tensor(self.data @ other.data, parents=(self, other), backward_fn=lambda g: (
+            _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape),
+            _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)))
 
     __matmul__ = matmul
 
@@ -113,32 +92,32 @@ class Tensor:
         return self._coerce(other).matmul(self)
 
     def __getitem__(self, idx):
-        def grad(g):
+        def backward(g):
             out = np.zeros_like(self.data)
             out[idx] = g
-            return out
+            return (out,)
 
-        return Tensor(self.data[idx], parents=(self,), grad_fns=(grad,))
+        return Tensor(self.data[idx], parents=(self,), backward_fn=backward)
 
     def reshape(self, *shape):
         old = self.data.shape
         return Tensor(self.data.reshape(*shape), parents=(self,),
-                      grad_fns=(lambda g: g.reshape(old),))
+                      backward_fn=lambda g: (g.reshape(old),))
 
     def transpose(self, axes):
         inv = np.argsort(axes)
         return Tensor(self.data.transpose(axes), parents=(self,),
-                      grad_fns=(lambda g: g.transpose(inv),))
+                      backward_fn=lambda g: (g.transpose(inv),))
 
     def sum(self, axis=None, keepdims=False):
-        def grad(g):
+        def backward(g):
             if axis is None:
-                return np.full_like(self.data, g)
+                return (np.full_like(self.data, g),)
             gg = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, self.data.shape).copy()
+            return (np.broadcast_to(gg, self.data.shape).copy(),)
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                      parents=(self,), grad_fns=(grad,))
+                      parents=(self,), backward_fn=backward)
 
     # -- backward ----------------------------------------------------------
     def backward(self, grad=None):
@@ -160,54 +139,24 @@ class Tensor:
                 stack.append((p, False))
         self.grad = np.asarray(grad, dtype=np.float64)
         for node in reversed(topo):
-            if node.grad is None:
+            if node.grad is None or not node.parents:
                 continue
-            for parent, fn in zip(node.parents, node.grad_fns):
-                if not parent.requires_grad:
-                    continue
-                g = fn(node.grad)
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = parent.grad + g
+            for parent, g in zip(node.parents, node.backward_fn(node.grad)):
+                if parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def concat(items: list, axis: int = -1):
     if not any(isinstance(t, Tensor) for t in items):
         return np.concatenate(items, axis=axis)
-    tensors = [Tensor._coerce(t) for t in items]
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_grad(i):
-        def grad(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(sl)]
-
-        return grad
-
-    return Tensor(out, parents=tuple(tensors),
-                  grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
+    tensors = tuple(Tensor._coerce(t) for t in items)
+    bounds = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tensors,
+                  backward_fn=lambda g: np.split(g, bounds, axis=axis))
 
 
 def fused_node(data: np.ndarray, parents: list, backward) -> Tensor:
-    """A tape node whose parents' gradients all come from one call to
-    `backward(grad)`, which returns them in parent order; the call is made
-    once per incoming grad and shared among the parents."""
-    tensors = tuple(Tensor._coerce(t) for t in parents)
-    memo: list = [None, None]
-
-    def make_grad(i):
-        def grad(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, backward(g)
-            return memo[1][i]
-
-        return grad
-
-    return Tensor(data, parents=tensors,
-                  grad_fns=tuple(make_grad(i) for i in range(len(tensors))))
-
+    """A tape node whose `backward(grad)` returns every parent's gradient in
+    parent order.  Plain-ndarray parents become constant Tensors, which take
+    no gradient."""
+    return Tensor(data, parents=tuple(Tensor._coerce(t) for t in parents), backward_fn=backward)

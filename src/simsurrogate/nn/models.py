@@ -116,8 +116,9 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 # params, the same code runs as numpy and builds no Tensor (prediction and
 # eval loss).  Each layer and the masked-MSE loss (train.mse_loss) is a
 # kernel whose forward is always numpy: on ndarrays it returns the result, and
-# given any Tensor operand it adds one tape node with a hand-written backward
-# (fused_node) over what the forward kept.  On the numpy route GELU overwrites
+# given any Tensor operand it adds one tape node (fused_node) whose
+# hand-written backward returns every operand's gradient from what the forward
+# kept.  On the numpy route GELU overwrites
 # its input, and `+=` adds in place; on a Tensor (which has no __iadd__)
 # `h += y` rebinds h to a new tape node.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,21 +29,19 @@ class Standardizer:
     def _safe_std(self) -> np.ndarray:
         return np.where(self.std == 0.0, 1.0, self.std)
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def _checked(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.mean.shape[0]:
             raise PreprocessError(
                 f"feature arity mismatch: got {x.shape[-1]}, fitted {self.mean.shape[0]}"
             )
-        return (x - self.mean) / self._safe_std()
+        return x
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        return (self._checked(x) - self.mean) / self._safe_std()
 
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.mean.shape[0]:
-            raise PreprocessError(
-                f"feature arity mismatch: got {x.shape[-1]}, fitted {self.mean.shape[0]}"
-            )
-        return x * self._safe_std() + self.mean
+        return self._checked(x) * self._safe_std() + self.mean
 
     def to_json(self) -> str:
         return json.dumps({
@@ -96,10 +94,8 @@ def fit_standardizer(rows: np.ndarray, names: tuple[str, ...] = ()) -> Standardi
 def standardize_table(table: SampleTable, feature_std: Standardizer,
                       target_std: Standardizer) -> SampleTable:
     """The table with features and targets z-scored by their standardizers."""
-    return SampleTable(table.scenario, table.simulation_ids, table.job_indices,
-                       feature_std.transform(table.features),
-                       target_std.transform(table.targets),
-                       table.feature_names, table.target_names)
+    return replace(table, features=feature_std.transform(table.features),
+                   targets=target_std.transform(table.targets))
 
 
 @dataclass
@@ -201,18 +197,6 @@ class SplitSpec:
             "groups": {str(k): {s: list(v) for s, v in g.items()}
                        for k, g in self.groups.items()},
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "SplitSpec":
-        doc = json.loads(text)
-        return cls(
-            fraction=doc["fraction"],
-            seed=doc["seed"],
-            train_ids=tuple(doc["train_ids"]),
-            eval_ids=tuple(doc["eval_ids"]),
-            groups={int(k): {s: tuple(v) for s, v in g.items()}
-                    for k, g in doc["groups"].items()},
-        )
 
 
 def split_train_eval(sim_lengths: dict[int, int], fraction: float = 0.7,

@@ -26,12 +26,12 @@ def mean(x: Tensor) -> Tensor:
 
 def sqrt(x: Tensor) -> Tensor:
     out = np.sqrt(x.data)
-    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * 0.5 / out,))
+    return Tensor(out, parents=(x,), backward_fn=lambda g: (g * 0.5 / out,))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * (1 - out**2),))
+    return Tensor(out, parents=(x,), backward_fn=lambda g: (g * (1 - out**2),))
 
 
 def composed_linear(x, w, b):
@@ -52,14 +52,14 @@ def composed_gelu(x):
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
-    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * out,))
+    return Tensor(out, parents=(x,), backward_fn=lambda g: (g * out,))
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Where mask is True keep the value; where False substitute `value`."""
     keep = np.asarray(mask, dtype=bool)
     return Tensor(np.where(keep, x.data, value), parents=(x,),
-                  grad_fns=(lambda g: np.where(keep, g, 0.0),))
+                  backward_fn=lambda g: (np.where(keep, g, 0.0),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -101,15 +101,13 @@ def composed_mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Ten
 
 def sigmoid(x: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor(out, parents=(x,), grad_fns=(lambda g: g * out * (1 - out),))
+    return Tensor(out, parents=(x,), backward_fn=lambda g: (g * out * (1 - out),))
 
 
 def stack(items: list[Tensor], axis: int = 0) -> Tensor:
-    def make_grad(i):
-        return lambda g: np.take(g, i, axis=axis)
-
     return Tensor(np.stack([t.data for t in items], axis=axis), parents=tuple(items),
-                  grad_fns=tuple(make_grad(i) for i in range(len(items))))
+                  backward_fn=lambda g: tuple(np.take(g, i, axis=axis)
+                                              for i in range(len(items))))
 
 
 def rnn_params(rng, prefix, in_dim, hidden, kind, scale=0.4):

@@ -1,4 +1,6 @@
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -160,5 +162,46 @@ def set_std(key, values):
 def test_header_of_wrong_type_rejected(tmp_path, edit, match):
     save_checkpoint(tmp_path / "c.npz", checkpoint())
     resave_with_header(tmp_path / "c.npz", edit)
+    with pytest.raises(TrainingError, match=match):
+        load_checkpoint(tmp_path / "c.npz")
+
+
+def flip_a_data_byte(path, member="param/out.W.npy"):
+    """Flip the last data byte of a stored member, so its CRC-32 fails."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:info.header_offset + 30])
+    raw[info.header_offset + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def object_params(path):
+    ckpt = checkpoint()
+    ckpt.params["out.W"] = ckpt.params["out.W"].astype(object)
+    save_checkpoint(path, ckpt)
+
+
+def string_params(path):
+    ckpt = checkpoint()
+    ckpt.params["out.W"] = np.full(ckpt.params["out.W"].shape, "a")
+    save_checkpoint(path, ckpt)
+
+
+def flipped_byte(path):
+    save_checkpoint(path, checkpoint())
+    flip_a_data_byte(path)
+
+
+DEFECTIVE_MEMBERS = pytest.mark.parametrize("make, match", [
+    (object_params, "is not a checkpoint: Object arrays cannot be loaded"),
+    (flipped_byte, "is not a checkpoint: Bad CRC-32"),
+    (string_params, r"out.W has shape \(8, 2\) and dtype <U1, config needs \(8, 2\) float64"),
+], ids=["object_dtype", "bad_crc", "string_dtype"])
+
+
+@DEFECTIVE_MEMBERS
+def test_defective_parameter_member_rejected(tmp_path, make, match):
+    make(tmp_path / "c.npz")
     with pytest.raises(TrainingError, match=match):
         load_checkpoint(tmp_path / "c.npz")

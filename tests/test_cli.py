@@ -267,6 +267,18 @@ class TestErrorPaths:
         assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
         assert "suite.json needs a 'simulations' list" in result.output
 
+    def test_object_dtype_checkpoint_member_exits_6(self, pipeline_dir, tmp_path):
+        manifest = self.copy_of_pipeline(pipeline_dir, tmp_path)
+        path = tmp_path / "out" / "heterogeneous" / "model" / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param/out.W"] = arrays["param/out.W"].astype(object)
+        np.savez(path, **arrays)
+        result = CliRunner().invoke(main, ["evaluate", "--manifest", str(manifest)])
+        assert result.exit_code == 6, result.output
+        assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
+        assert "checkpoint.npz is not a checkpoint" in result.output
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -21,7 +21,7 @@ from tape_reference import (
 from simsurrogate.errors import ModelConfigError
 from simsurrogate import evaluate
 from simsurrogate.evaluate import predict_rows
-from simsurrogate.nn.autodiff import Tensor, concat
+from simsurrogate.nn.autodiff import Tensor, concat, fused_node
 from simsurrogate.nn.models import (
     ModelConfig,
     _gelu,
@@ -235,7 +235,7 @@ def test_perfbench_sized_transformer_step_tape():
 
 def test_perfbench_sized_transformer_step_memory():
     """The step's forward and backward peak under 7.5 MiB of traced
-    allocations: 6.7 MiB with one attention node that keeps the weights P,
+    allocations: 6.6 MiB with one attention node that keeps the weights P,
     8.5 MiB when each elementwise op of attention and the loss kept its own
     score- or output-shaped array."""
     params = wrap_params(init_params(PERFBENCH_TRANSFORMER))
@@ -871,6 +871,27 @@ class TestInferenceForward:
         windows = np.random.default_rng(7).normal(size=(5, config.window_size, 3))
         slow = model_forward(config, wrap_params(params), windows).data
         np.testing.assert_array_equal(model_forward_infer(config, params, windows), slow)
+
+
+def test_fused_node_backward_runs_once_per_call():
+    """A node with three operands, one a plain ndarray, and two consumers runs
+    its backward once per Tensor.backward; the ndarray takes no gradient."""
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.full(3, 2.0), requires_grad=True)
+    calls = []
+
+    def backward(g):
+        calls.append(g)
+        return g * 2.0, g * 3.0, g * 5.0
+
+    out = fused_node(a.data + b.data, (a, np.ones(3), b), backward)
+    (out.sum() + (out * 2.0).sum()).backward()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.full(3, 3.0))
+    np.testing.assert_array_equal(a.grad, np.full(3, 6.0))
+    np.testing.assert_array_equal(b.grad, np.full(3, 15.0))
+    assert out.parents[1].grad is None
+    out.sum().backward()
+    assert len(calls) == 2
 
 
 class TestNdarrayOperands:

@@ -224,8 +224,3 @@ class TestSplit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(PreprocessError, match="fraction"):
             split_train_eval({0: 5}, 1.5, seed=0)
-
-    def test_json_round_trip(self):
-        split = split_train_eval({i: 10 + (i % 2) for i in range(9)}, 0.7, seed=4)
-        from simsurrogate.preprocess import SplitSpec
-        assert SplitSpec.from_json(split.to_json()) == split

@@ -173,14 +173,16 @@ class TestTrainModel:
 
 def three_epochs(arch):
     """Params and history of 3 epochs on 8 train and 2 eval windows of 6
-    steps, three of them partly padded."""
+    steps, three of them partly padded.  The transformer is 4 wide, since its
+    2 heads do not divide 5."""
     rng = np.random.default_rng(21)
     x, y = rng.normal(size=(10, 6, 3)), rng.normal(size=(10, 6, 2))
     mask = np.ones((10, 6), dtype=bool)
     mask[3, 2:] = False
     mask[7, 4:] = False
     mask[9, 1:] = False
-    config = TrainConfig(ModelConfig(arch, input_dim=3, output_dim=2, hidden_size=5,
+    hidden = 4 if arch == "transformer" else 5
+    config = TrainConfig(ModelConfig(arch, input_dim=3, output_dim=2, hidden_size=hidden,
                                      window_size=6, batch_size=4, seed=1),
                          max_epochs=3, patience=3, seed=2)
     return train_model(config, batch_from_arrays(x[:8], y[:8], mask[:8]),
@@ -198,14 +200,17 @@ def digest(params, history) -> str:
 
 
 def arithmetic_canary() -> str:
-    """A digest of the numpy and BLAS results the recurrent training digests
-    rest on (exp, tanh, sums, 2-D and broadcast matmuls), which a numpy build
-    or CPU with other SIMD kernels may round differently."""
+    """A digest of the numpy and BLAS results the training digests rest on
+    (exp, tanh, sqrt, sums, last-axis means, division, 2-D, broadcast and 4-D
+    batched matmuls), which a numpy build or CPU with other SIMD kernels may
+    round differently."""
     rng = np.random.default_rng(5)
     v = rng.normal(size=(4, 6, 5))
     sha = hashlib.sha256()
     for out in (np.exp(v), np.tanh(v), v @ rng.normal(size=(5, 15)), v.sum(),
-                rng.normal(size=(4, 1, 6, 3)) @ rng.normal(size=(3, 3, 5))):
+                rng.normal(size=(4, 1, 6, 3)) @ rng.normal(size=(3, 3, 5)),
+                np.sqrt(np.abs(v)), v.mean(axis=-1), v / rng.normal(size=5),
+                rng.normal(size=(2, 3, 6, 4)) @ rng.normal(size=(2, 3, 4, 6))):
         sha.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
     return sha.hexdigest()
 
@@ -224,11 +229,13 @@ def test_recurrent_training_bit_equal_with_composed_loss(arch, monkeypatch):
 @pytest.mark.parametrize("arch, expected", [
     ("bigru", "eae5c788c25c54ca386f3bc07377e9b70588dcaa2dbad131916db450bfb7e810"),
     ("bilstm", "ca15ecacfb5c8039459daac0ac98fe1efd9ca21ed9100f3ccdb3f28c1526b518"),
+    ("transformer", "dafba3deb1c2140880a81410ca7307f3c97bc9d1033a3893862d15673ccb0bab"),
 ])
-def test_recurrent_training_digest(arch, expected):
-    """Three epochs of recurrent training pinned across commits.  The digests
-    were computed with the composed-tape loss (numpy 2.4.6, OpenBLAS, x86-64)
-    and hold while the BiGRU and BiLSTM train bit-identically to it."""
-    if arithmetic_canary() != "02beddac7c385c231bfb30a0bc6368829126f7d40f1a98b436b91173f667599c":
+def test_training_digest(arch, expected):
+    """Three epochs of training pinned across commits (numpy 2.4.6, OpenBLAS,
+    x86-64).  The recurrent digests were computed with the composed-tape loss
+    and hold while the BiGRU and BiLSTM train bit-identically to it; the
+    transformer's was computed with its attention and loss nodes."""
+    if arithmetic_canary() != "8a5aa0d0b2bc4a792dd1ebef8b7d7be7133153ba79786d851f6dc9684a0e6487":
         pytest.skip("this numpy build rounds the canary operations differently")
     assert digest(*three_epochs(arch)) == expected
