@@ -60,7 +60,7 @@ from .traceio import (
     write_workload_csv,
 )
 from .train import TrainConfig, evaluate_loss, train_model
-from .tuner import SearchSpace, tune_hyperparameters, write_audit_csv
+from .tuner import tune_hyperparameters, write_audit_csv
 from .workload import (
     EXTRAPOLATION_JOB_COUNT,
     EXTRAPOLATION_SIMULATIONS,
@@ -110,14 +110,6 @@ class ExperimentManifest:
     max_epochs: int = 200
     patience: int = 20
     tune_max_epochs: int = 30
-    n_random: int = 10
-    n_survivors: int = 3
-    hidden_sizes: list[int] = field(default_factory=lambda: [16, 32, 64])
-    window_sizes: list[int] = field(default_factory=lambda: [8, 16, 32])
-    window_overlaps: list[int] = field(default_factory=lambda: [0, 2, 4])
-    num_layers_options: list[int] = field(default_factory=lambda: [1, 2])
-    batch_sizes: list[int] = field(default_factory=lambda: [16, 32, 64])
-    num_heads_options: list[int] = field(default_factory=lambda: [1, 2, 4])
     bench_repeats: int = 1
     jobs: int = 1
 
@@ -467,7 +459,7 @@ def train(manifest_path, epochs, num_heads, **flags):
 @click.option("--epochs", type=int, default=None, help="Per-trial epoch budget.")
 @_handle_errors
 def tune(manifest_path, epochs, **flags):
-    """Two-stage hyperparameter search; writes an audit log and best config."""
+    """Two-stage search over `tuner.SEARCH_SPACE`; writes an audit log and best config."""
     man = resolve_manifest(manifest_path, tune_max_epochs=epochs, **flags)
     scaled_train, scaled_eval, _, _ = _load_preprocessed(man)
 
@@ -476,17 +468,7 @@ def tune(manifest_path, epochs, **flags):
                                      man.tune_max_epochs)
         return evaluate_loss(config, params, eval_batch)
 
-    space = SearchSpace(
-        hidden_size=tuple(man.hidden_sizes),
-        window_size=tuple(man.window_sizes),
-        window_overlap=tuple(man.window_overlaps),
-        num_layers=tuple(man.num_layers_options),
-        batch_size=tuple(man.batch_sizes),
-        num_heads=tuple(man.num_heads_options),
-    )
-    best_cfg, best_loss, audit = tune_hyperparameters(
-        space, _model_config(man), train_fn, seed=man.seed,
-        n_random=man.n_random, n_survivors=man.n_survivors)
+    best_cfg, best_loss, audit = tune_hyperparameters(_model_config(man), train_fn, seed=man.seed)
 
     outdir = _scenario_dir(man) / "tune"
     outdir.mkdir(parents=True, exist_ok=True)

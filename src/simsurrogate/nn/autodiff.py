@@ -134,6 +134,10 @@ class Tensor:
             if id(node) in seen or not node.requires_grad:
                 continue
             seen.add(id(node))
+            # An inner node starts from no gradient, so an earlier call's is not
+            # passed on again; leaves keep accumulating.
+            if node.parents:
+                node.grad = None
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))

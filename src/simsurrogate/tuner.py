@@ -1,5 +1,6 @@
-"""Two-stage hyperparameter search: 10 random trials, then coordinate-wise
-refinement of the top 3 in a fixed parameter order.
+"""Two-stage hyperparameter search: `N_RANDOM` random trials over
+`SEARCH_SPACE`, then coordinate-wise refinement of the top `N_SURVIVORS` in
+a fixed parameter order.
 
 Model selection is automated on eval-set MSE.  Every trial is appended to an
 audit log so a run can be replayed and verified.
@@ -7,9 +8,7 @@ audit log so a run can be replayed and verified.
 
 from __future__ import annotations
 
-import copy
 import csv
-import itertools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,31 +16,25 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelConfigError, TrainingError
+from .errors import TrainingError
 from .nn.models import ModelConfig
 
 COORDINATE_ORDER = ("hidden_size", "window_size", "window_overlap",
                     "num_layers", "batch_size")
 
-
-@dataclass
-class SearchSpace:
-    hidden_size: tuple[int, ...] = (16, 32, 64)
-    window_size: tuple[int, ...] = (8, 16, 32)
-    window_overlap: tuple[int, ...] = (0, 2, 4)
-    num_layers: tuple[int, ...] = (1, 2)
-    batch_size: tuple[int, ...] = (16, 32, 64)
-    num_heads: tuple[int, ...] = (1, 2, 4)
-
-    def __post_init__(self):
-        for name in COORDINATE_ORDER + ("num_heads",):
-            if not getattr(self, name):
-                raise TrainingError(f"search space for {name} is empty")
-        if min(self.window_overlap) >= max(self.window_size):
-            raise TrainingError("no window_overlap candidate below the largest window_size")
-
-    def candidates(self, name: str) -> tuple[int, ...]:
-        return tuple(getattr(self, name))
+# Candidates of each searched setting, drawn in this order.  Every combination
+# is a valid ModelConfig for every architecture: each overlap is below each
+# window, and each hidden size divides by each head count.
+SEARCH_SPACE: dict[str, tuple[int, ...]] = {
+    "hidden_size": (16, 32, 64),
+    "window_size": (8, 16, 32),
+    "window_overlap": (0, 2, 4),
+    "num_layers": (1, 2),
+    "batch_size": (16, 32, 64),
+    "num_heads": (1, 2, 4),
+}
+N_RANDOM = 10
+N_SURVIVORS = 3
 
 
 @dataclass
@@ -55,34 +48,14 @@ class TrialRecord:
     wall_clock_s: float
 
 
-def _try_replace(base: ModelConfig, **changes) -> ModelConfig | None:
-    """Build a variant config; None if the combination fails validation."""
-    try:
-        return replace(base, **changes)
-    except ModelConfigError:
-        return None
-
-
-def _sample_config(rng: np.random.Generator, space: SearchSpace,
-                   base: ModelConfig) -> ModelConfig:
-    names = COORDINATE_ORDER + ("num_heads",)
-    combos = itertools.product(*(space.candidates(n) for n in names))
-    if all(_try_replace(base, **dict(zip(names, c))) is None for c in combos):
-        raise TrainingError("no combination in the search space is a valid "
-                            f"{base.architecture} config")
-    while True:
-        cfg = _try_replace(base, **{n: int(rng.choice(space.candidates(n))) for n in names})
-        if cfg is not None:
-            return cfg
+def _sample_config(rng: np.random.Generator, base: ModelConfig) -> ModelConfig:
+    return replace(base, **{n: int(rng.choice(c)) for n, c in SEARCH_SPACE.items()})
 
 
 def tune_hyperparameters(
-    space: SearchSpace,
     base: ModelConfig,
     train_fn: Callable[[ModelConfig], float],
     seed: int = 0,
-    n_random: int = 10,
-    n_survivors: int = 3,
 ) -> tuple[ModelConfig, float, list[TrialRecord]]:
     """Run the search; returns (best config, its eval loss, audit log).
 
@@ -109,15 +82,15 @@ def tune_hyperparameters(
 
     # Stage 1: random sampling.
     stage1: list[tuple[float, int, ModelConfig]] = []
-    for i in range(n_random):
-        cfg = _sample_config(rng, space, base)
+    for i in range(N_RANDOM):
+        cfg = _sample_config(rng, base)
         loss = run_trial("random", -1, cfg)
         if loss is not None:
             stage1.append((loss, i, cfg))
     if not stage1:
         raise TrainingError("all random trials failed")
     stage1.sort(key=lambda t: (t[0], t[1]))
-    survivors = stage1[:n_survivors]
+    survivors = stage1[:N_SURVIVORS]
 
     # Stage 2: coordinate-wise refinement in fixed order.
     order = COORDINATE_ORDER + (("num_heads",) if base.architecture == "transformer" else ())
@@ -125,19 +98,10 @@ def tune_hyperparameters(
     for rank, (loss, _, cfg) in enumerate(survivors):
         best_loss, best_cfg = loss, cfg
         for param in order:
-            for cand in space.candidates(param):
+            for cand in SEARCH_SPACE[param]:
                 if cand == getattr(best_cfg, param):
                     continue  # already evaluated at this value
-                candidate = _try_replace(best_cfg, **{param: int(cand)})
-                if candidate is None:
-                    # bypass constructor validation so the invalid combination
-                    # can still be recorded verbatim in the audit log
-                    invalid = copy.copy(best_cfg)
-                    setattr(invalid, param, int(cand))
-                    audit.append(TrialRecord(trial_id, f"sweep:{param}", rank, invalid,
-                                             float("nan"), "skipped:invalid combination", 0.0))
-                    trial_id += 1
-                    continue
+                candidate = replace(best_cfg, **{param: cand})
                 cand_loss = run_trial(f"sweep:{param}", rank, candidate)
                 if cand_loss is not None and cand_loss < best_loss:
                     best_loss, best_cfg = cand_loss, candidate

@@ -35,7 +35,7 @@ from simsurrogate.preprocess import (
 )
 from simsurrogate.traceio import SampleTable
 from simsurrogate.train import TrainConfig, train_model
-from simsurrogate.tuner import COORDINATE_ORDER, SearchSpace, tune_hyperparameters
+from simsurrogate.tuner import COORDINATE_ORDER, tune_hyperparameters
 from simsurrogate.workload import (
     TRAIN_JOB_COUNTS,
     DatasetSpec,
@@ -311,9 +311,8 @@ def test_criterion_9_tuner_contract():
     def train_fn(cfg):
         return float(sum((getattr(cfg, k) - v) ** 2 for k, v in optimum.items()))
 
-    space = SearchSpace()
     base = ModelConfig("bigru", input_dim=3, output_dim=2)
-    best, loss, audit = tune_hyperparameters(space, base, train_fn, seed=0)
+    best, loss, audit = tune_hyperparameters(base, train_fn, seed=0)
 
     # schedule: 10 random trials, then 3 survivors swept in the fixed order
     assert sum(1 for r in audit if r.stage == "random") == 10
@@ -330,8 +329,7 @@ def test_criterion_9_tuner_contract():
     for k, v in optimum.items():
         assert getattr(best, k) == v, f"{k}: {getattr(best, k)} != {v}"
 
-    replay_best, replay_loss, replay_audit = tune_hyperparameters(
-        space, base, train_fn, seed=0)
+    replay_best, replay_loss, replay_audit = tune_hyperparameters(base, train_fn, seed=0)
     assert replay_best == best and replay_loss == loss
     assert [(r.stage, r.config, r.eval_loss) for r in replay_audit] == \
            [(r.stage, r.config, r.eval_loss) for r in audit]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -12,8 +13,10 @@ from click.testing import CliRunner
 
 from simsurrogate import cli
 from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
+from simsurrogate.nn.models import ModelConfig
 from simsurrogate.preprocess import Standardizer
 from simsurrogate.traceio import read_samples_csv
+from simsurrogate.tuner import COORDINATE_ORDER, N_RANDOM, N_SURVIVORS
 from simsurrogate.workload import DEFAULT_JOB_CLASSES
 
 TINY = {
@@ -54,9 +57,11 @@ class TestManifest:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"sim_count": 5}))
-        with pytest.raises(Exception, match="unknown manifest keys"):
-            resolve_manifest(str(path))
+        # hidden_sizes: the tuner's search space is fixed, not a manifest setting
+        for doc in ({"sim_count": 5}, {"hidden_sizes": [16, 32]}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(Exception, match="unknown manifest keys"):
+                resolve_manifest(str(path))
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentManifest()
@@ -93,6 +98,29 @@ class TestPipeline:
         lines = (pipeline_dir / "out" / "heterogeneous" / "bench"
                  / "speedup.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + the single 20-job size
+
+    def test_tune_audits_every_trial_and_keeps_the_best(self, pipeline_dir):
+        result = CliRunner().invoke(
+            main, ["tune", "--manifest", str(pipeline_dir / "manifest.json"), "--epochs", "1"])
+        assert result.exit_code == 0, result.output
+        n_trials = int(re.search(r"after (\d+) trials", result.output).group(1))
+        tune = pipeline_dir / "out" / "heterogeneous" / "tune"
+        with open(tune / "audit.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["trial_id"]) for r in rows] == list(range(n_trials))
+        assert [r["stage"] for r in rows[:N_RANDOM]] == ["random"] * N_RANDOM
+        sweeps = rows[N_RANDOM:]
+        assert sorted({int(r["survivor"]) for r in sweeps}) == list(range(N_SURVIVORS))
+        for rank in range(N_SURVIVORS):
+            params = [r["stage"].removeprefix("sweep:") for r in sweeps
+                      if int(r["survivor"]) == rank]
+            assert tuple(dict.fromkeys(params)) == COORDINATE_ORDER
+            assert params == sorted(params, key=COORDINATE_ORDER.index)
+        best = json.loads((tune / "best_config.json").read_text(encoding="utf-8"))
+        assert ModelConfig.from_dict(best["config"]).architecture == "bigru"
+        assert best["eval_loss"] == min(float(r["eval_loss"]) for r in rows
+                                        if r["status"] == "ok")
+        assert (tune / "meta.json").exists()
 
     def test_simulate_rerun_bitwise_identical(self, pipeline_dir):
         base = pipeline_dir / "out" / "heterogeneous"

@@ -894,6 +894,17 @@ def test_fused_node_backward_runs_once_per_call():
     assert len(calls) == 2
 
 
+def test_second_backward_over_a_tape_does_not_double_count():
+    """A second backward() accumulates into the leaves only: inner nodes
+    start from no gradient, so the first call's is not passed on again."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    out = a * 2.0
+    out.sum().backward()
+    out.sum().backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(out.grad, np.ones(3))
+
+
 class TestNdarrayOperands:
     """A plain ndarray on the left of a Tensor op yields a Tensor on the tape."""
 

@@ -1,13 +1,13 @@
+import itertools
 import math
 
 import pytest
 
 from simsurrogate.errors import TrainingError
-from simsurrogate.nn.models import ModelConfig
+from simsurrogate.nn.models import ARCHITECTURES, ModelConfig
 from simsurrogate.tuner import (
     COORDINATE_ORDER,
-    SearchSpace,
-    TrialRecord,
+    SEARCH_SPACE,
     tune_hyperparameters,
     write_audit_csv,
 )
@@ -26,14 +26,12 @@ def quadratic_loss(optimum):
 
 class TestSchedule:
     def test_stage_one_has_exactly_n_random_trials(self):
-        space = SearchSpace()
-        _, _, audit = tune_hyperparameters(space, base_config(),
+        _, _, audit = tune_hyperparameters(base_config(),
                                            quadratic_loss({"hidden_size": 32}), seed=0)
         assert sum(1 for r in audit if r.stage == "random") == 10
 
     def test_sweep_order_is_fixed(self):
-        space = SearchSpace()
-        _, _, audit = tune_hyperparameters(space, base_config(),
+        _, _, audit = tune_hyperparameters(base_config(),
                                            quadratic_loss({"hidden_size": 32}), seed=0)
         sweep_stages = [r.stage for r in audit if r.stage.startswith("sweep:")]
         seen = []
@@ -45,25 +43,23 @@ class TestSchedule:
         assert tuple(seen) == COORDINATE_ORDER * 3
 
     def test_trial_count_formula(self):
-        space = SearchSpace()
-        _, _, audit = tune_hyperparameters(space, base_config(),
+        _, _, audit = tune_hyperparameters(base_config(),
                                            quadratic_loss({"hidden_size": 32}), seed=0)
-        # each survivor sweeps len(candidates)-1 values per coordinate,
-        # counting invalid combinations (logged as skipped)
-        per_survivor = sum(len(space.candidates(p)) - 1 for p in COORDINATE_ORDER)
+        # each survivor sweeps every candidate of each coordinate but its
+        # current value
+        per_survivor = sum(len(SEARCH_SPACE[p]) - 1 for p in COORDINATE_ORDER)
         assert len(audit) == 10 + 3 * per_survivor
 
     def test_transformer_also_sweeps_num_heads(self):
-        space = SearchSpace()
-        _, _, audit = tune_hyperparameters(space, base_config("transformer"),
+        _, _, audit = tune_hyperparameters(base_config("transformer"),
                                            quadratic_loss({"hidden_size": 32}), seed=0)
         assert any(r.stage == "sweep:num_heads" for r in audit)
-        per_survivor = sum(len(space.candidates(p)) - 1
+        per_survivor = sum(len(SEARCH_SPACE[p]) - 1
                            for p in COORDINATE_ORDER + ("num_heads",))
         assert len(audit) == 10 + 3 * per_survivor
 
     def test_gru_never_sweeps_num_heads(self):
-        _, _, audit = tune_hyperparameters(SearchSpace(), base_config("bigru"),
+        _, _, audit = tune_hyperparameters(base_config("bigru"),
                                            quadratic_loss({"hidden_size": 32}), seed=0)
         assert all(r.stage != "sweep:num_heads" for r in audit)
 
@@ -72,7 +68,7 @@ class TestSelection:
     def test_finds_known_optimum(self):
         optimum = {"hidden_size": 64, "window_size": 8, "window_overlap": 4,
                    "num_layers": 2, "batch_size": 16}
-        best, loss, _ = tune_hyperparameters(SearchSpace(), base_config(),
+        best, loss, _ = tune_hyperparameters(base_config(),
                                              quadratic_loss(optimum), seed=0)
         assert loss == 0.0
         for k, v in optimum.items():
@@ -80,26 +76,17 @@ class TestSelection:
 
     def test_returned_loss_matches_best_audit_entry(self):
         best, loss, audit = tune_hyperparameters(
-            SearchSpace(), base_config(), quadratic_loss({"batch_size": 64}), seed=3)
+            base_config(), quadratic_loss({"batch_size": 64}), seed=3)
         ok = [r.eval_loss for r in audit if r.status == "ok"]
         assert loss == min(ok)
 
     def test_deterministic_replay(self):
         fn = quadratic_loss({"hidden_size": 16, "num_layers": 2})
-        a = tune_hyperparameters(SearchSpace(), base_config(), fn, seed=7)
-        b = tune_hyperparameters(SearchSpace(), base_config(), fn, seed=7)
+        a = tune_hyperparameters(base_config(), fn, seed=7)
+        b = tune_hyperparameters(base_config(), fn, seed=7)
         assert a[0] == b[0] and a[1] == b[1]
         assert [(r.stage, r.config, r.eval_loss) for r in a[2]] == \
                [(r.stage, r.config, r.eval_loss) for r in b[2]]
-
-    def test_single_candidate_space_sweeps_nothing(self):
-        space = SearchSpace(hidden_size=(8,), window_size=(4,), window_overlap=(0,),
-                            num_layers=(1,), batch_size=(8,), num_heads=(1,))
-        best, loss, audit = tune_hyperparameters(space, base_config(),
-                                                 quadratic_loss({"hidden_size": 8}), seed=0)
-        assert len(audit) == 10  # all random trials hit the same config
-        assert best.hidden_size == 8
-        assert loss == 0.0
 
 
 class TestFailures:
@@ -108,8 +95,7 @@ class TestFailures:
             if cfg.hidden_size == 64:
                 raise TrainingError("diverged at epoch 0")
             return float(cfg.hidden_size)
-        best, loss, audit = tune_hyperparameters(SearchSpace(), base_config(),
-                                                 flaky, seed=1)
+        best, loss, audit = tune_hyperparameters(base_config(), flaky, seed=1)
         skipped = [r for r in audit if r.status.startswith("skipped:diverged")]
         assert skipped and all(math.isnan(r.eval_loss) for r in skipped)
         assert best.hidden_size == 16
@@ -118,41 +104,19 @@ class TestFailures:
         def always_fail(cfg):
             raise TrainingError("bad")
         with pytest.raises(TrainingError, match="all random trials failed"):
-            tune_hyperparameters(SearchSpace(), base_config(), always_fail, seed=0)
+            tune_hyperparameters(base_config(), always_fail, seed=0)
 
-    def test_invalid_transformer_combo_logged_not_trained(self):
-        calls = []
-        def record(cfg):
-            calls.append(cfg)
-            assert cfg.hidden_size % cfg.num_heads == 0
-            return float(cfg.hidden_size + cfg.num_heads)
-        space = SearchSpace(hidden_size=(4, 6), num_heads=(4, 6))
-        _, _, audit = tune_hyperparameters(space, base_config("transformer"),
-                                           record, seed=2)
-        invalid = [r for r in audit if r.status == "skipped:invalid combination"]
-        assert invalid
-        assert all(r.config.hidden_size % r.config.num_heads for r in invalid)
 
-    def test_unsatisfiable_space_raises(self):
-        """No hidden_size is divisible by any num_heads: sampling must raise,
-        not retry forever."""
-        def never_called(cfg):
-            raise AssertionError("no config should reach training")
-        space = SearchSpace(hidden_size=(15,), num_heads=(2, 4))
-        with pytest.raises(TrainingError, match="no combination"):
-            tune_hyperparameters(space, base_config("transformer"), never_called, seed=0)
-
-    def test_empty_space_rejected(self):
-        with pytest.raises(TrainingError, match="empty"):
-            SearchSpace(hidden_size=())
-
-    def test_overlap_only_at_or_above_window_rejected(self):
-        with pytest.raises(TrainingError, match="window_overlap"):
-            SearchSpace(window_size=(4,), window_overlap=(4, 8))
+def test_every_search_space_combination_is_valid():
+    """The tuner has no path for an invalid candidate: every combination of
+    the space is a valid ModelConfig for every architecture."""
+    for arch in ARCHITECTURES:
+        for combo in itertools.product(*SEARCH_SPACE.values()):
+            ModelConfig(arch, input_dim=3, output_dim=2, **dict(zip(SEARCH_SPACE, combo)))
 
 
 def test_audit_csv_round_numbers(tmp_path):
-    _, _, audit = tune_hyperparameters(SearchSpace(), base_config(),
+    _, _, audit = tune_hyperparameters(base_config(),
                                        quadratic_loss({"hidden_size": 32}), seed=0)
     path = tmp_path / "audit.csv"
     write_audit_csv(path, audit)
