@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -52,6 +52,13 @@ def _sample_config(rng: np.random.Generator, base: ModelConfig) -> ModelConfig:
     return replace(base, **{n: int(rng.choice(c)) for n, c in SEARCH_SPACE.items()})
 
 
+def _train_key(config: ModelConfig) -> tuple:
+    """Configs that train the same model share a key: no recurrent model reads
+    `num_heads`."""
+    return astuple(config if config.architecture == "transformer"
+                   else replace(config, num_heads=0))
+
+
 def tune_hyperparameters(
     base: ModelConfig,
     train_fn: Callable[[ModelConfig], float],
@@ -60,21 +67,24 @@ def tune_hyperparameters(
     """Run the search; returns (best config, its eval loss, audit log).
 
     `train_fn` trains one candidate and returns its eval loss; failures are
-    logged and the trial skipped.
+    logged and the trial skipped.  Each distinct model is trained once: a trial
+    that meets a config already tried is logged with the first result.
     """
     rng = np.random.default_rng(seed)
     audit: list[TrialRecord] = []
     trial_id = 0
+    tried: dict[tuple, tuple[float, str]] = {}  # _train_key -> (loss, status)
 
     def run_trial(stage: str, survivor: int, config: ModelConfig) -> float | None:
         nonlocal trial_id
         t0 = time.perf_counter()
-        try:
-            loss = float(train_fn(config))
-            status = "ok"
-        except TrainingError as exc:
-            loss = float("nan")
-            status = f"skipped:{exc}"
+        key = _train_key(config)
+        if key not in tried:
+            try:
+                tried[key] = (float(train_fn(config)), "ok")
+            except TrainingError as exc:
+                tried[key] = (float("nan"), f"skipped:{exc}")
+        loss, status = tried[key]
         audit.append(TrialRecord(trial_id, stage, survivor, config, loss, status,
                                  time.perf_counter() - t0))
         trial_id += 1

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 import random
@@ -86,6 +87,33 @@ def test_records_are_slotted_frozen_values(index):
     assert repr(same) == repr(record)
     assert dataclasses.replace(record, **{names[-1]: None}) != record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("index", [0, 1, 3], ids=["JobSpec", "FileSpec", "TraceRecord"])
+def test_slot_init_matches_the_dataclass_init(index):
+    """The generated __init__ takes the dataclass's arguments, by position or by
+    name, and refuses a wrong call with the dataclass's TypeError."""
+    record = record_cases()[index]
+    cls = type(record)
+    plain = dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+        frozen=True, slots=True)
+    assert cls.__init__ is not plain.__init__
+    assert inspect.signature(cls) == inspect.signature(plain)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(record, n) for n in names]
+    assert cls(*values) == record
+    assert cls(**dict(zip(reversed(names), reversed(values)))) == record
+    assert cls(*values[:2], **dict(zip(names[2:], values[2:]))) == record
+    bad_calls = [((), {}), (values[:-1], {}), ((*values, 0), {}),
+                 (values, {"extra": 0}), (values, {names[0]: values[0]})]
+    for args, kwargs in bad_calls:
+        errors = []
+        for kind in (cls, plain):
+            with pytest.raises(TypeError) as caught:
+                kind(*args, **kwargs)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
 
 
 def test_single_job_compute_closed_form():
@@ -406,6 +434,52 @@ def test_random_platforms_digest():
         traces = run_simulation(platform, jobs, datasets, audit=index % 2 == 0)
         digest.update(repr(traces).encode())
     assert digest.hexdigest() == RANDOM_CASES_SHA256
+
+
+def force_eager_rates(monkeypatch):
+    """Refresh the rates right after every transfer start and finish, the
+    rule the engine followed before it deferred them to the next read."""
+    def eager(method):
+        def wrapped(self, *args):
+            result = method(self, *args)
+            self._recompute_rates()
+            return result
+        return wrapped
+
+    for name in ("_start_transfer", "_finish_transfer"):
+        monkeypatch.setattr(_Simulation, name, eager(getattr(_Simulation, name)))
+
+
+def test_lazy_rates_match_eager_on_random_platforms(monkeypatch):
+    """The 300 random platforms of the digest test, audit alternating, give the
+    same traces when the rates are refreshed eagerly."""
+    rng = random.Random(20261019)
+    cases = [random_case(rng, index) for index in range(300)]
+    lazy = [run_simulation(*case, audit=index % 2 == 0) for index, case in enumerate(cases)]
+    force_eager_rates(monkeypatch)
+    eager = [run_simulation(*case, audit=index % 2 == 0) for index, case in enumerate(cases)]
+    assert lazy == eager
+
+
+def test_completion_tolerance_reads_the_rates_after_an_earlier_finish(monkeypatch):
+    """Two inputs split a 1e8 B/s uplink from t = 1e6 s, where a clock step is
+    1.16e-10 s; the second is 0.009 bytes longer.  When the first finishes,
+    the second's route speeds up to 1e8 B/s, and the completion tolerance
+    (which includes rate x clock step) grows from 0.0059 to 0.0117 bytes, so
+    the second finishes in the same pass, as under eager rates."""
+    nodes = [NodeSpec(w, "worker", cores=1, core_speed_flops=1e10) for w in ("w0", "w1")]
+    nodes.append(NodeSpec("s0", "storage", disk_read_bw_bps=1e9, disk_write_bw_bps=1e9))
+    links = (LinkSpec("up", 1e8, 0.0), LinkSpec("l0", 1e9, 0.0), LinkSpec("l1", 1e9, 0.0))
+    routes = {("s0", "w0"): ("up", "l0"), ("w0", "s0"): ("l0", "up"),
+              ("s0", "w1"): ("up", "l1"), ("w1", "s0"): ("l1", "up")}
+    platform = PlatformSpec(tuple(nodes), links, routes)
+    validate_platform(platform)
+    jobs = [job(0, files=("a",), sub=1e6), job(1, files=("b",), sub=1e6)]
+    data = dataset(("a", 1e8), ("b", 1e8 + 0.009))
+    lazy = run_simulation(platform, jobs, data, audit=True)
+    assert lazy[0].input_files_transfer_time_s == lazy[1].input_files_transfer_time_s == 2.0
+    force_eager_rates(monkeypatch)
+    assert run_simulation(platform, jobs, data, audit=True) == lazy
 
 
 def test_audit_passes_a_small_transfer_behind_a_busy_route():

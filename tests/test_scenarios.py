@@ -11,6 +11,7 @@ from simsurrogate.errors import WorkloadError
 from simsurrogate.platform import builtin_platform, platform_from_doc, serialize_platform
 from simsurrogate.scenarios import SCENARIOS, get_scenario
 from simsurrogate.workload import generate_workload
+from test_engine import force_eager_rates
 
 
 def sha256(text: str) -> str:
@@ -91,10 +92,15 @@ def hetero_10k():
     return platform, jobs, datasets, run_simulation(platform, jobs, datasets)
 
 
-def test_homogeneous_10k_is_bit_identical():
+@pytest.fixture(scope="module")
+def homog_10k():
     jobs, datasets = generate_workload("homogeneous", 10_000, 0, 1)
-    traces = run_simulation(builtin_platform("homogeneous"), jobs, datasets)
-    assert sha256(repr(traces)) == RUN_GOLDEN["homogeneous-10k"]
+    platform = builtin_platform("homogeneous")
+    return platform, jobs, datasets, run_simulation(platform, jobs, datasets)
+
+
+def test_homogeneous_10k_is_bit_identical(homog_10k):
+    assert sha256(repr(homog_10k[3])) == RUN_GOLDEN["homogeneous-10k"]
 
 
 def test_heterogeneous_10k_is_bit_identical(hetero_10k):
@@ -106,9 +112,34 @@ def test_heterogeneous_10k_audit_changes_nothing(hetero_10k):
     assert run_simulation(platform, jobs, datasets, audit=True) == traces
 
 
-def test_probe_star_is_bit_identical():
+def test_homogeneous_10k_audit_changes_nothing(homog_10k):
+    """The preset where a completion pass finishes about 30 transfers, so the
+    rates a pass defers differ most from refreshing them after each finish."""
+    platform, jobs, datasets, traces = homog_10k
+    assert run_simulation(platform, jobs, datasets, audit=True) == traces
+
+
+def probe_star_run():
     jobs, datasets = generate_workload("heterogeneous", 1000, 0, 1)
     jobs = [replace(j, submission_time_s=j.submission_time_s * 11 / PROBE_WORKERS)
             for j in jobs]
-    traces = run_simulation(probe_star_platform(), jobs, datasets)
+    return probe_star_platform(), jobs, datasets
+
+
+def test_probe_star_is_bit_identical():
+    traces = run_simulation(*probe_star_run())
     assert sha256(repr(traces)) == RUN_GOLDEN["probe-star"]
+
+
+@pytest.mark.parametrize("case", ["probe-star", "homogeneous", "heterogeneous"])
+def test_lazy_rates_match_eager(monkeypatch, case):
+    """Rates computed when next read give the traces that refreshing them after
+    every transfer start and finish gives, on the probe star and on 2,000 jobs
+    of each preset."""
+    if case == "probe-star":
+        run = probe_star_run()
+    else:
+        run = (builtin_platform(case), *generate_workload(case, 2000, 0, 1))
+    lazy = run_simulation(*run)
+    force_eager_rates(monkeypatch)
+    assert run_simulation(*run) == lazy

@@ -1,10 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from simsurrogate.errors import TrainingError
 from simsurrogate.nn.models import ARCHITECTURES, ModelConfig
+from simsurrogate.preprocess import WindowBatch
+from simsurrogate.train import TrainConfig, evaluate_loss, train_model
 from simsurrogate.tuner import (
     COORDINATE_ORDER,
     SEARCH_SPACE,
@@ -105,6 +108,53 @@ class TestFailures:
             raise TrainingError("bad")
         with pytest.raises(TrainingError, match="all random trials failed"):
             tune_hyperparameters(base_config(), always_fail, seed=0)
+
+
+@pytest.mark.parametrize("arch", ["bigru", "transformer"])
+def test_each_distinct_config_trains_once(arch):
+    """The sweep revisits configs (a survivor's start value, two survivors
+    meeting, recurrent configs apart only in the unused num_heads); each
+    distinct one is trained once and every trial that meets it logs its loss."""
+    searched = COORDINATE_ORDER + (("num_heads",) if arch == "transformer" else ())
+    # the first candidate of each coordinate is best, so a sweep that starts
+    # elsewhere moves off its start value and meets it again
+    loss = quadratic_loss({k: SEARCH_SPACE[k][0] for k in searched})
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return loss(cfg)
+
+    _, _, audit = tune_hyperparameters(base_config(arch), counting, seed=0)
+
+    def key(cfg):
+        return tuple(getattr(cfg, k) for k in searched)
+
+    keys = {key(r.config) for r in audit}
+    assert len(calls) == len(keys) < len(audit)
+    assert {key(c) for c in calls} == keys
+    first = {}
+    for r in audit:
+        assert first.setdefault(key(r.config), (r.eval_loss, r.status)) == (r.eval_loss, r.status)
+
+
+def test_recurrent_loss_ignores_num_heads():
+    """Why the tuner's key drops num_heads for recurrent models: a BiGRU
+    trained and scored at 1 and at 4 heads gives the same loss to the bit."""
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(12, 4, 3)), rng.normal(size=(12, 4, 2))
+    mask = np.ones((12, 4), dtype=bool)
+    prov = np.zeros((12, 4, 2), dtype=np.int64)
+    train_batch = WindowBatch(x[:8], y[:8], mask[:8], prov[:8])
+    eval_batch = WindowBatch(x[8:], y[8:], mask[8:], prov[8:])
+    losses = []
+    for heads in (1, 4):
+        model = ModelConfig("bigru", input_dim=3, output_dim=2, hidden_size=6,
+                            window_size=4, batch_size=4, num_heads=heads)
+        params, _ = train_model(TrainConfig(model, max_epochs=2, patience=2),
+                                train_batch, eval_batch)
+        losses.append(evaluate_loss(model, params, eval_batch))
+    assert losses[0] == losses[1]
 
 
 def test_every_search_space_combination_is_valid():
