@@ -15,7 +15,7 @@ exact.  A rate is a pure function of the current link loads, caps and
 bandwidths, nothing reads one between a start and the next scan, and that
 tolerance is the only rate a completion pass reads after a finish.  On the
 homogeneous preset a completion pass finishes about 30 transfers, so a 10k run
-computes rates 21,000 times instead of 40,000.
+computes rates 21,000 times for its 40,000 transfer starts and finishes.
 
 Transfers sharing the same ordered (source, destination) pair always have the
 same rate, so they are tracked per route as fluid progress against absolute

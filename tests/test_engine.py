@@ -98,7 +98,6 @@ def test_slot_init_matches_the_dataclass_init(index):
     plain = dataclasses.make_dataclass(
         cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
         frozen=True, slots=True)
-    assert cls.__init__ is not plain.__init__
     assert inspect.signature(cls) == inspect.signature(plain)
     names = [f.name for f in dataclasses.fields(cls)]
     values = [getattr(record, n) for n in names]
