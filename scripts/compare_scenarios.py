@@ -9,40 +9,47 @@ runs acceptance criterion 6's experiment (`cli.run_experiment` on
 the simulator/surrogate speedup at a large job count, timed as
 `simsurrogate bench` times it.
 
+It runs criterion 6's manifests, `manifests/criterion6_<scenario>.json`;
+`--epochs` (max_epochs and patience), `--hidden` and `--window` override both.
+
 Usage:
     python scripts/compare_scenarios.py --seeds 0,1,2 --epochs 30
 """
 
+from pathlib import Path
+
 import click
 
-from simsurrogate.cli import ExperimentManifest, run_experiment, simulate_suite, time_speedup
+from simsurrogate.cli import resolve_manifest, run_experiment, simulate_suite, time_speedup
 from simsurrogate.platform import builtin_platform
 from simsurrogate.workload import generate_workload
 
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 # Timed calls per side of the speedup line, after one warm-up call each.
 SPEEDUP_REPEATS = 3
 
 
 @click.command()
 @click.option("--seeds", default="0,1,2")
-@click.option("--epochs", default=30, type=int)
-@click.option("--hidden", default=24, type=int)
-@click.option("--window", default=16, type=int)
+@click.option("--epochs", type=int, help="Override max_epochs and patience.")
+@click.option("--hidden", type=int, help="Override hidden_size.")
+@click.option("--window", type=int, help="Override window_size.")
 @click.option("--speedup-jobs", default=10_000, type=int)
 def run(seeds, epochs, hidden, window, speedup_jobs):
     seed_list = [int(s) for s in seeds.split(",")]
-    hom_epochs = max(1, epochs - 5)
-    het_fields = dict(scenario="heterogeneous", sims_per_batch=200, job_counts=[100],
-                      hidden_size=hidden, window_size=window, max_epochs=epochs, patience=epochs)
-    hom_fields = dict(scenario="homogeneous", hidden_size=hidden, window_size=window,
-                      max_epochs=hom_epochs, patience=hom_epochs)
+
+    def manifest(scenario, seed=0):
+        return resolve_manifest(str(MANIFESTS / f"criterion6_{scenario}.json"), seed=seed,
+                                max_epochs=epochs, patience=epochs, hidden_size=hidden,
+                                window_size=window)
+
     # the homogeneous workloads do not depend on the seed: one suite serves all
-    hom_suite = simulate_suite(ExperimentManifest(**hom_fields))
+    hom_suite = simulate_suite(manifest("homogeneous"))
     models = []
     for seed in seed_list:
-        het_man = ExperimentManifest(**het_fields, seed=seed)
+        het_man = manifest("heterogeneous", seed)
         het, ckpt = run_experiment(het_man, *simulate_suite(het_man))
-        hom, _ = run_experiment(ExperimentManifest(**hom_fields, seed=seed), *hom_suite)
+        hom, _ = run_experiment(manifest("homogeneous", seed), *hom_suite)
         models.append(ckpt)
         click.echo(f"\nseed {seed}")
         click.echo(f"  {'observable':32s} {'heterogeneous':>14s} {'homogeneous':>12s}")

@@ -54,7 +54,8 @@ from .traceio import (
     read_samples_csv,
     read_trace_csv,
     read_workload_csv,
-    workload_rows,
+    trace_lines,
+    workload_lines,
     write_samples_csv,
     write_trace_csv,
     write_workload_csv,
@@ -274,17 +275,24 @@ def simulate(manifest_path, job_classes, **flags):
     click.echo(f"simulated {len(sims)} runs under {base}")
 
 
+def _join_as_written(scenario: str, jobs, datasets, traces) -> SampleTable:
+    """One run's samples as `preprocess` joins them, parsed from `simulate`'s lines."""
+    return join_traces(scenario, read_workload_csv(workload_lines(jobs, datasets.sizes())),
+                       read_trace_csv(trace_lines(traces)))
+
+
 def simulate_suite(man: ExperimentManifest) -> tuple[dict[int, SampleTable], dict[int, int]]:
     """The suite's training simulations run in memory, with the ids and
-    workloads `simulate` gives them: joined samples and job count per id."""
+    workloads `simulate` gives them: joined samples, bit-equal to those
+    `preprocess` joins, and job count per id."""
     platform = builtin_platform(man.scenario)
     classes = _job_classes(man)
     lengths = {sid: n for sid, (n, kind) in enumerate(_runs(man)) if kind == "train"}
     tables = {}
     for sid, n in lengths.items():
         jobs, datasets = generate_workload(man.scenario, n, sid, man.seed, classes)
-        traces = run_simulation(platform, jobs, datasets)
-        tables[sid] = join_traces(man.scenario, workload_rows(jobs, datasets), traces)
+        tables[sid] = _join_as_written(man.scenario, jobs, datasets,
+                                       run_simulation(platform, jobs, datasets))
     return tables, lengths
 
 
@@ -508,7 +516,7 @@ def time_speedup(platform, scenario: str, jobs, datasets, ckpt: Checkpoint, repe
     """Simulator against surrogate on one workload (`jobs`, `datasets`), each
     side timed by `time_call` with `repeats`; returns its `speedup_row`."""
     traces, sim_s = time_call(lambda: run_simulation(platform, jobs, datasets), repeats)
-    table = join_traces(scenario, workload_rows(jobs, datasets), traces)
+    table = _join_as_written(scenario, jobs, datasets, traces)
     _, sur_s = time_call(lambda: predict_rows(ckpt.config, ckpt.params, table,
                                               ckpt.feature_std, ckpt.target_std), repeats)
     return speedup_row(scenario, len(jobs), sim_s, sur_s)

@@ -28,7 +28,6 @@ class NodeSpec:
     core_speed_flops: float = 0.0
     disk_read_bw_bps: float = 0.0
     disk_write_bw_bps: float = 0.0
-    storage_capacity_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,16 +93,6 @@ def validate_platform(spec: PlatformSpec) -> None:
                 raise PlatformValidationError(f"missing route from worker {w.id} to storage {s.id}")
 
 
-def parse_platform(text: str) -> PlatformSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlatformFormatError(
-            f"platform document is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return platform_from_doc(doc)
-
-
 def platform_from_doc(doc: dict) -> PlatformSpec:
     """Convert a decoded platform document's fields and validate the result."""
     if not isinstance(doc, dict):
@@ -117,7 +106,6 @@ def platform_from_doc(doc: dict) -> PlatformSpec:
                 core_speed_flops=float(n.get("core_speed_flops", 0.0)),
                 disk_read_bw_bps=float(n.get("disk_read_bw_bps", 0.0)),
                 disk_write_bw_bps=float(n.get("disk_write_bw_bps", 0.0)),
-                storage_capacity_bytes=int(n.get("storage_capacity_bytes", 0)),
             )
             for n in doc.get("nodes", [])
         )
@@ -150,7 +138,6 @@ def serialize_platform(spec: PlatformSpec) -> str:
                 "core_speed_flops": n.core_speed_flops,
                 "disk_read_bw_bps": n.disk_read_bw_bps,
                 "disk_write_bw_bps": n.disk_write_bw_bps,
-                "storage_capacity_bytes": n.storage_capacity_bytes,
             }
             for n in spec.nodes
         ],

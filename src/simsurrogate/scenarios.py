@@ -25,7 +25,6 @@ INTRA_SITE_LATENCY_S = 1e-4
 INTER_DC_BW_BPS = 1.25e9  # 10 Gb/s
 INTER_DC_LATENCY_S = 1e-2
 STORAGE_DISK_BW_BPS = 2.5e8
-STORAGE_CAPACITY_BYTES = 10**15
 WORKER_SPEED_FLOPS = 1e9
 # The 12-core node runs at half speed so per-job compute times are bimodal
 # instead of a single constant value.
@@ -62,8 +61,7 @@ def _worker(node_id: str, cores: int, speed: float) -> dict:
 
 def _storage(node_id: str) -> dict:
     return {"id": node_id, "role": "storage", "disk_read_bw_bps": STORAGE_DISK_BW_BPS,
-            "disk_write_bw_bps": STORAGE_DISK_BW_BPS,
-            "storage_capacity_bytes": STORAGE_CAPACITY_BYTES}
+            "disk_write_bw_bps": STORAGE_DISK_BW_BPS}
 
 
 def _link(link_id: str, bandwidth: float = INTRA_SITE_BW_BPS,

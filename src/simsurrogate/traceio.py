@@ -3,15 +3,18 @@
 All files are UTF-8 CSV with a header row, ``.`` decimal separator, times in
 seconds with 9 decimal places, byte counts as integers. No cell is quoted: a
 worker or file id holding a character csv would quote, or the ``;`` that
-separates a job's input files, is refused when written. Workload and trace
-files are read into columns by np.loadtxt and joined on packed
-(simulation_id, job_index) keys, with no per-row Python object.
+separates a job's input files, is refused when written. `workload_lines` and
+`trace_lines` build a file's lines, so the rounding of a stored value lives in
+their line formats alone. Workload and trace files, or those lines straight
+from the builders as the in-memory experiment passes them, are read into
+columns by np.loadtxt and joined on packed (simulation_id, job_index) keys,
+with no per-row Python object. perfbench and the tests also join lists of row
+dicts and TraceRecords, which hold values as generated, not as written.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 from .engine import TRACE_FIELDS, TraceRecord
 from .errors import JoinError, PreprocessError
 from .scenarios import get_scenario
-from .workload import DatasetSpec, JobSpec
+from .workload import JobSpec
 
 WORKLOAD_FIELDS = (
     "simulation_id",
@@ -66,26 +69,33 @@ def _check_ids(ids: set[str], kind: str) -> None:
                         "which the workload and trace files cannot hold")
 
 
-def _write_lines(path: str | Path, fields: tuple[str, ...], lines: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\r\n" + "".join(lines))
+def workload_lines(jobs: list[JobSpec], input_sizes: dict[str, float]) -> list[str]:
+    """The workload file's lines, header first: sizes rounded to whole bytes,
+    submission times to nanoseconds, flops as their repr."""
+    _check_ids({f for j in jobs for f in j.input_files}, "file")
+    return [",".join(WORKLOAD_FIELDS) + "\r\n"] + [_WORKLOAD_LINE % (
+        j.simulation_id, j.job_index, j.submission_time_s, j.flops, ";".join(j.input_files),
+        round(sum(input_sizes[f] for f in j.input_files)), round(j.output_files_size_bytes),
+        j.class_id) for j in jobs]
+
+
+def trace_lines(traces: list[TraceRecord]) -> list[str]:
+    """The trace file's lines, header first: times rounded to nanoseconds,
+    byte counts to whole bytes."""
+    _check_ids({t.worker_id for t in traces}, "worker")
+    return [",".join(TRACE_FIELDS) + "\r\n"] + [_TRACE_LINE % (
+        t.simulation_id, t.job_index, t.submission_time_s, t.start_time_s, t.end_time_s,
+        t.compute_time_s, t.input_files_transfer_time_s, t.output_files_transfer_time_s,
+        round(t.input_bytes), round(t.output_bytes), t.worker_id) for t in traces]
 
 
 def write_workload_csv(path: str | Path, jobs: list[JobSpec],
                        input_sizes: dict[str, float]) -> None:
-    _check_ids({f for j in jobs for f in j.input_files}, "file")
-    _write_lines(path, WORKLOAD_FIELDS, [_WORKLOAD_LINE % (
-        j.simulation_id, j.job_index, j.submission_time_s, j.flops, ";".join(j.input_files),
-        round(sum(input_sizes[f] for f in j.input_files)), round(j.output_files_size_bytes),
-        j.class_id) for j in jobs])
+    Path(path).write_text("".join(workload_lines(jobs, input_sizes)), "utf-8", newline="")
 
 
 def write_trace_csv(path: str | Path, traces: list[TraceRecord]) -> None:
-    _check_ids({t.worker_id for t in traces}, "worker")
-    _write_lines(path, TRACE_FIELDS, [_TRACE_LINE % (
-        t.simulation_id, t.job_index, t.submission_time_s, t.start_time_s, t.end_time_s,
-        t.compute_time_s, t.input_files_transfer_time_s, t.output_files_transfer_time_s,
-        round(t.input_bytes), round(t.output_bytes), t.worker_id) for t in traces])
+    Path(path).write_text("".join(trace_lines(traces)), "utf-8", newline="")
 
 
 class Columns:
@@ -137,46 +147,33 @@ def _loadtxt(path: str | Path, rows: list[str], **kwargs) -> np.ndarray:
         raise JoinError(f"{path}: {exc}") from exc
 
 
-def _read_columns(path: str | Path, fields: tuple[str, ...], ints: tuple[str, ...],
-                  texts: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """A file's columns under the header `fields`: `ints` as int64, `texts`
+def _read_columns(source: str | Path | list[str], fields: tuple[str, ...],
+                  ints: tuple[str, ...], texts: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The columns under the header `fields` of a file, or of a file's lines
+    as `workload_lines` and `trace_lines` build them: `ints` as int64, `texts`
     as strings, the rest as float64."""
-    rows = _body(path, _read_lines(path), fields)
+    source, lines = ("lines", source) if isinstance(source, list) else (source, _read_lines(source))
+    rows = _body(source, lines, fields)
     numeric = np.dtype([(name, np.int64 if name in ints else np.float64)
                         for name in fields if name not in texts])
     if not rows:  # np.loadtxt would warn that the input holds no data
         return {name: np.empty(0, str if name in texts else numeric[name]) for name in fields}
-    values = _loadtxt(path, rows, dtype=numeric, ndmin=1,
+    values = _loadtxt(source, rows, dtype=numeric, ndmin=1,
                       usecols=[fields.index(n) for n in numeric.names])
-    return {name: _loadtxt(path, rows, dtype=str, ndmin=1, usecols=fields.index(name))
+    return {name: _loadtxt(source, rows, dtype=str, ndmin=1, usecols=fields.index(name))
             if name in texts else values[name] for name in fields}
 
 
-def read_workload_csv(path: str | Path) -> Columns:
-    """Rows are dicts keyed by WORKLOAD_FIELDS, `input_files` a tuple."""
-    return Columns(_read_columns(path, WORKLOAD_FIELDS, _KEYS + ("class_id",),
+def read_workload_csv(source: str | Path | list[str]) -> Columns:
+    """A workload file, or its `workload_lines`. Rows are dicts keyed by
+    WORKLOAD_FIELDS, `input_files` a tuple."""
+    return Columns(_read_columns(source, WORKLOAD_FIELDS, _KEYS + ("class_id",),
                                  ("input_files",)), _workload_row)
 
 
-def read_trace_csv(path: str | Path) -> Columns:
-    """Rows are TraceRecords."""
-    return Columns(_read_columns(path, TRACE_FIELDS, _KEYS, ("worker_id",)), TraceRecord)
-
-
-def workload_rows(jobs: list[JobSpec], datasets: DatasetSpec) -> list[dict]:
-    """Rows in read_workload_csv's layout, straight from generated jobs
-    (input sizes are exact sums, not rounded to whole bytes)."""
-    sizes = datasets.sizes()
-    return [{
-        "simulation_id": j.simulation_id,
-        "job_index": j.job_index,
-        "submission_time_s": j.submission_time_s,
-        "flops": j.flops,
-        "input_files": j.input_files,
-        "input_files_size_bytes": sum(sizes[f] for f in j.input_files),
-        "output_files_size_bytes": j.output_files_size_bytes,
-        "class_id": j.class_id,
-    } for j in jobs]
+def read_trace_csv(source: str | Path | list[str]) -> Columns:
+    """A trace file, or its `trace_lines`. Rows are TraceRecords."""
+    return Columns(_read_columns(source, TRACE_FIELDS, _KEYS, ("worker_id",)), TraceRecord)
 
 
 @dataclass
@@ -264,10 +261,12 @@ def _gather(columns: dict[str, np.ndarray], names: tuple[str, ...],
 def join_traces(scenario: str, workload_rows, traces) -> SampleTable:
     """Join workload features with trace observables; lossless, key-checked.
 
-    Either side is a Columns from read_workload_csv / read_trace_csv, or a
-    list of row dicts / TraceRecords. Rows match on their packed
-    (simulation_id, job_index) keys, which must lie in [0, 2**31); a key
-    that repeats on one side or is missing from the other raises JoinError.
+    Either side is a Columns from read_workload_csv / read_trace_csv (the
+    CLI's stages and in-memory experiment pass these), or a list of row
+    dicts / TraceRecords (perfbench and the tests pass these). Rows match on
+    their packed (simulation_id, job_index) keys, which must lie in
+    [0, 2**31); a key that repeats on one side or is missing from the other
+    raises JoinError.
     """
     feats = feature_names(scenario)
     wl = _key_columns(workload_rows, feats, operator.getitem)

@@ -7,12 +7,13 @@ minutes; everything else is fast.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from tape_reference import rnn_params
 
-from simsurrogate.cli import ExperimentManifest, run_experiment, simulate_suite, time_speedup
+from simsurrogate.cli import resolve_manifest, run_experiment, simulate_suite, time_speedup
 from simsurrogate.engine import run_simulation
 from simsurrogate.evaluate import default_grid, kde, r_squared
 from simsurrogate.nn.autodiff import Tensor
@@ -37,7 +38,6 @@ from simsurrogate.traceio import SampleTable
 from simsurrogate.train import TrainConfig, train_model
 from simsurrogate.tuner import COORDINATE_ORDER, tune_hyperparameters
 from simsurrogate.workload import (
-    TRAIN_JOB_COUNTS,
     DatasetSpec,
     FileSpec,
     JobSpec,
@@ -45,11 +45,13 @@ from simsurrogate.workload import (
 )
 
 SEEDS = (0, 1, 2)
-# Criterion 6's experiments: a BiGRU (h=24, 16-row windows) per scenario
-HETERO = dict(scenario="heterogeneous", sims_per_batch=200, job_counts=[100],
-              hidden_size=24, max_epochs=30, patience=30)
-HOMOG = dict(scenario="homogeneous", sims_per_batch=20, job_counts=list(TRAIN_JOB_COUNTS),
-             hidden_size=24, max_epochs=25, patience=25)
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def criterion6_manifest(scenario: str, seed: int = 0):
+    """Criterion 6's experiment for one scenario: a BiGRU (h=24, 16-row
+    windows), from the manifest that compare_scenarios.py also runs."""
+    return resolve_manifest(str(MANIFESTS / f"criterion6_{scenario}.json"), seed=seed)
 
 
 # Shared plumbing ------------------------------------------------------------
@@ -59,8 +61,7 @@ def one_worker_platform(cores=1, core_speed=1e9, link_bw=1.25e8, latency=1e-4,
     spec = PlatformSpec(
         nodes=(
             NodeSpec("w0", "worker", cores=cores, core_speed_flops=core_speed),
-            NodeSpec("s0", "storage", disk_read_bw_bps=disk_bw,
-                     disk_write_bw_bps=disk_bw, storage_capacity_bytes=10**15),
+            NodeSpec("s0", "storage", disk_read_bw_bps=disk_bw, disk_write_bw_bps=disk_bw),
         ),
         links=(LinkSpec("l0", link_bw, latency),),
         routes={("s0", "w0"): ("l0",), ("w0", "s0"): ("l0",)},
@@ -80,7 +81,7 @@ def hetero_runs():
     """One 200-simulation x 100-job heterogeneous experiment per seed."""
     runs = {}
     for seed in SEEDS:
-        man = ExperimentManifest(**HETERO, seed=seed)
+        man = criterion6_manifest("heterogeneous", seed)
         runs[seed] = run_experiment(man, *simulate_suite(man))
     return runs
 
@@ -93,8 +94,8 @@ def homog_runs():
     at t=0), so the simulations are shared and only split and initialization
     vary per seed.
     """
-    suite = simulate_suite(ExperimentManifest(**HOMOG))
-    return {seed: run_experiment(ExperimentManifest(**HOMOG, seed=seed), *suite)
+    suite = simulate_suite(criterion6_manifest("homogeneous"))
+    return {seed: run_experiment(criterion6_manifest("homogeneous", seed), *suite)
             for seed in SEEDS}
 
 

@@ -12,10 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 from simsurrogate import cli
+from simsurrogate.checkpoint import load_checkpoint
 from simsurrogate.cli import ExperimentManifest, main, pool_size, resolve_manifest
+from simsurrogate.evaluate import write_report
 from simsurrogate.nn.models import ModelConfig
-from simsurrogate.preprocess import Standardizer
-from simsurrogate.traceio import read_samples_csv
+from simsurrogate.traceio import write_samples_csv
 from simsurrogate.tuner import COORDINATE_ORDER, N_RANDOM, N_SURVIVORS
 from simsurrogate.workload import DEFAULT_JOB_CLASSES
 
@@ -321,18 +322,24 @@ SMALL = TINY | {"sims_per_batch": 4, "include_extrapolation": True, "extrapolati
 
 
 class TestExperiment:
-    """The in-memory experiment against the staged pipeline at desk size."""
+    """The in-memory experiment against the staged pipeline at desk size: the
+    same samples, standardizers, model and scores, bit for bit."""
 
     @pytest.fixture(scope="class")
     def staged(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("experiment")
         path = root / "m.json"
         path.write_text(json.dumps(SMALL | {"out": str(root / "out")}))
-        for cmd in ("simulate", "preprocess"):
+        for cmd in ("simulate", "preprocess", "train", "evaluate"):
             result = CliRunner().invoke(main, [cmd, "--manifest", str(path)])
             assert result.exit_code == 0, f"{cmd}: {result.output}"
         man = resolve_manifest(str(path))
         return man, root / "out" / "heterogeneous", cli.simulate_suite(man)
+
+    @pytest.fixture(scope="class")
+    def experiment(self, staged):
+        man, _, suite = staged
+        return cli.run_experiment(man, *suite)
 
     def test_suite_holds_the_simulated_training_runs(self, staged):
         _, base, (tables, lengths) = staged
@@ -340,38 +347,31 @@ class TestExperiment:
         train = {s["simulation_id"]: s["n_jobs"] for s in sims if s["kind"] == "train"}
         assert lengths == train and sorted(tables) == sorted(train)
 
-    def test_split_and_standardizers_match_preprocess(self, staged):
+    def test_split_and_standardizers_match_preprocess(self, staged, tmp_path):
         man, base, (tables, lengths) = staged
-        split, train, _, f_std, t_std = cli.split_samples(man, lengths, tables.__getitem__)
+        split, train, eval_, f_std, t_std = cli.split_samples(man, lengths, tables.__getitem__)
         pre = base / "preprocess"
         assert split.to_json() == (pre / "split.json").read_text()
-        # the staged samples went through CSV files that keep whole bytes and
-        # nanoseconds; the in-memory ones did not
-        written = read_samples_csv(pre / "train_samples.csv")
-        np.testing.assert_array_equal(train.simulation_ids, written.simulation_ids)
-        np.testing.assert_allclose(train.features, written.features, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(train.targets, written.targets, rtol=1e-6, atol=1e-9)
-        for std, name in ((f_std, "feature_std.json"), (t_std, "target_std.json")):
-            staged_std = Standardizer.from_json((pre / name).read_text())
-            assert std.names == staged_std.names
-            np.testing.assert_allclose(std.mean, staged_std.mean, rtol=1e-6)
-            np.testing.assert_allclose(std.std, staged_std.std, rtol=1e-6)
+        for name, table in (("train", train), ("eval", eval_)):
+            write_samples_csv(tmp_path / name, table)
+            assert (tmp_path / name).read_bytes() == (pre / f"{name}_samples.csv").read_bytes()
+        assert f_std.to_json() == (pre / "feature_std.json").read_text()
+        assert t_std.to_json() == (pre / "target_std.json").read_text()
 
-    def test_standardizer_means_within_1e9_of_preprocess(self, staged):
-        """The two paths' standardizer means agree to 1e-9 relative, not
-        exactly: `write_workload_csv` rounds input and output sizes to whole
-        bytes and the trace CSV rounds times to nanoseconds, and `preprocess`
-        fits on what it reads back from those files, while `split_samples`
-        over `simulate_suite` fits on the unrounded values."""
-        man, base, (tables, lengths) = staged
-        *_, f_std, t_std = cli.split_samples(man, lengths, tables.__getitem__)
-        for std, name in ((f_std, "feature_std.json"), (t_std, "target_std.json")):
-            staged_mean = Standardizer.from_json((base / "preprocess" / name).read_text()).mean
-            np.testing.assert_allclose(std.mean, staged_mean, rtol=1e-9, atol=0)
+    def test_checkpoint_and_r2_match_the_staged_pipeline(self, staged, experiment, tmp_path):
+        _, base, _ = staged
+        report, ckpt = experiment
+        written = load_checkpoint(base / "model" / "checkpoint.npz")
+        assert ckpt.params.keys() == written.params.keys()
+        for name, value in ckpt.params.items():
+            assert value.dtype == written.params[name].dtype, name
+            assert value.tobytes() == written.params[name].tobytes(), name
+        write_report(tmp_path, report)
+        assert (tmp_path / "r2.csv").read_bytes() == (base / "eval" / "r2.csv").read_bytes()
 
-    def test_checkpoint_config_and_bit_equal_r2_on_a_second_call(self, staged):
+    def test_checkpoint_config_and_bit_equal_r2_on_a_second_call(self, staged, experiment):
         man, _, suite = staged
-        report, ckpt = cli.run_experiment(man, *suite)
+        report, ckpt = experiment
         assert ckpt.config == cli._model_config(man)
         assert (ckpt.scenario, ckpt.seed) == (man.scenario, man.seed)
         again, _ = cli.run_experiment(man, *suite)

@@ -27,8 +27,7 @@ def single_worker_platform(cores=1, core_speed=1.2e10, link_bw=1.25e8,
     spec = PlatformSpec(
         nodes=(
             NodeSpec("w0", "worker", cores=cores, core_speed_flops=core_speed),
-            NodeSpec("s0", "storage", disk_read_bw_bps=disk_bw,
-                     disk_write_bw_bps=disk_bw, storage_capacity_bytes=10**15),
+            NodeSpec("s0", "storage", disk_read_bw_bps=disk_bw, disk_write_bw_bps=disk_bw),
         ),
         links=(LinkSpec("l0", link_bw, latency),),
         routes={("s0", "w0"): ("l0",), ("w0", "s0"): ("l0",)},

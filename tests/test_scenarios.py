@@ -25,11 +25,11 @@ def sha256(text: str) -> str:
 # that changes any of those changes this digest with no change to this code.
 GOLDEN = {
     "homogeneous": (
-        "3e7b4dd2432c356448eb81f275e4f414adc91d01f6dbf52bcd5afb148948a466",
+        "9f9fd43c79e8bcbd5d717820f3d787dd199437fdd347eac712369cf8ab07b112",
         "8f7f73d6a6449ce936cb7a6c59a420629ff39152687e657e11fa0c930d61a43a",
     ),
     "heterogeneous": (
-        "5617bb7d0567f86720d834f3bea3fbce027ab6ceb2a2d7a829f3440cf3a825c3",
+        "97727212c198ca73850ed207c1d59b0e5913e54af784011b8831d3e144183fad",
         "bebc31dec09aaa8143a666a5e55c32f46d43446f7a2464360dbe58c74937c8ee",
     ),
 }
@@ -74,7 +74,7 @@ def probe_star_platform():
     nodes = [{"id": w, "role": "worker", "cores": 24, "core_speed_flops": 1e9}
              for w in workers]
     nodes.append({"id": storage, "role": "storage", "disk_read_bw_bps": 2.5e8,
-                  "disk_write_bw_bps": 2.5e8, "storage_capacity_bytes": 10**15})
+                  "disk_write_bw_bps": 2.5e8})
     links = [{"id": f"link_{n}", "bandwidth_bps": 1.25e8, "latency_s": 1e-4}
              for n in workers + [storage]]
     routes = []

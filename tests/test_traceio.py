@@ -17,8 +17,9 @@ from simsurrogate.traceio import (
     read_samples_csv,
     read_trace_csv,
     read_workload_csv,
+    trace_lines,
+    workload_lines,
     write_samples_csv,
-    workload_rows,
     write_trace_csv,
     write_workload_csv,
 )
@@ -74,7 +75,7 @@ def test_join_produces_ordered_rows(tmp_path, sim_data):
 def test_join_duplicate_key_rejected(sim_data, side):
     """A repeated (simulation_id, job_index) used to collapse silently: 6 rows gave 5."""
     jobs, ds, traces = sim_data
-    rows = workload_rows(jobs[:5], ds)
+    rows = list(read_workload_csv(workload_lines(jobs[:5], ds.sizes())))
     traces = list(traces[:5])
     if side == "workload":
         rows.append(dict(rows[2], flops=1.0))
@@ -97,7 +98,7 @@ def test_join_missing_trace_row_rejected(tmp_path, sim_data):
 @pytest.mark.parametrize("sid, job", [(0, 2**31), (-1, 0)])
 def test_join_key_out_of_range_rejected(sim_data, sid, job):
     jobs, ds, traces = sim_data
-    rows = workload_rows(jobs[:1], ds)
+    rows = list(read_workload_csv(workload_lines(jobs[:1], ds.sizes())))
     rows[0].update(simulation_id=sid, job_index=job)
     trace = dataclasses.replace(traces[0], simulation_id=sid, job_index=job)
     with pytest.raises(JoinError, match=r"workload rows: .* outside \[0, 2\*\*31\)"):
@@ -327,6 +328,25 @@ def test_simulated_csv_bytes_match_csv_writer(tmp_path, sim_data):
         write(tmp_path / "new.csv", *data)
         reference(tmp_path / "reference.csv", *data)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, len(AWKWARD_TIMES)])
+def test_lines_read_as_their_file(tmp_path, n):
+    """The line builders give the files' bytes, and their lines parse to
+    the columns the files do, bit for bit."""
+    jobs, sizes = awkward_jobs()
+    traces = awkward_traces()
+    for write, build, read, data in (
+            (write_workload_csv, workload_lines, read_workload_csv, (jobs[:n], sizes)),
+            (write_trace_csv, trace_lines, read_trace_csv, (traces[:n],))):
+        write(tmp_path / "file.csv", *data)
+        lines = build(*data)
+        assert "".join(lines).encode("utf-8") == (tmp_path / "file.csv").read_bytes()
+        from_file, from_lines = read(tmp_path / "file.csv").columns, read(lines).columns
+        assert list(from_lines) == list(from_file)
+        for name, column in from_file.items():
+            assert column.dtype == from_lines[name].dtype, name
+            assert column.tobytes() == from_lines[name].tobytes(), name
 
 
 def test_awkward_rows_read_back(tmp_path):
