@@ -26,7 +26,6 @@ from .errors import (
     EvalError,
     JoinError,
     ModelConfigError,
-    PlatformFormatError,
     PlatformValidationError,
     PreprocessError,
     SimSurrogateError,
@@ -74,7 +73,6 @@ from .workload import (
 )
 
 EXIT_CODES = {
-    PlatformFormatError: 3,
     PlatformValidationError: 3,
     WorkloadError: 3,
     SimulationError: 4,

@@ -5,12 +5,8 @@ class SimSurrogateError(Exception):
     """Base class for all toolkit errors."""
 
 
-class PlatformFormatError(SimSurrogateError):
-    """Platform document is not well-formed (syntax level)."""
-
-
 class PlatformValidationError(SimSurrogateError):
-    """Platform document violates a semantic invariant."""
+    """Platform violates a semantic invariant."""
 
 
 class WorkloadError(SimSurrogateError):

@@ -4,7 +4,7 @@ transformer, all per-position regression heads over fixed-size windows."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -31,11 +31,19 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ModelConfigError(f"unknown architecture {self.architecture!r}")
-        if self.hidden_size < 1 or self.num_layers < 1:
-            raise ModelConfigError("hidden_size and num_layers must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ModelConfigError(f"{f.name} must be an integer, got {value!r}")
+        if self.hidden_size < 1 or self.num_layers < 1 or self.batch_size < 1:
+            raise ModelConfigError("hidden_size, num_layers and batch_size must be positive")
         if not 0 <= self.window_overlap < self.window_size:
             raise ModelConfigError("window_overlap must be < window_size")
-        if self.architecture == "transformer" and self.hidden_size % self.num_heads != 0:
+        if self.architecture != "transformer":
+            return  # no recurrent model reads num_heads
+        if self.num_heads < 1:
+            raise ModelConfigError(f"num_heads must be positive, got {self.num_heads}")
+        if self.hidden_size % self.num_heads != 0:
             raise ModelConfigError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )

@@ -1,18 +1,19 @@
 """Platform descriptions: nodes, links, and routes between them.
 
-A platform is stored as a flat JSON document with top-level keys ``nodes``,
-``links`` and ``routes``.  Field names carry their unit as a suffix
+A `PlatformSpec` holds its nodes, its links, and the ordered link ids of
+each (source, destination) route.  Field names carry their unit as a suffix
 (``core_speed_flops``, ``bandwidth_bps``, ``latency_s``).  Each scenario in
-the registry (``scenarios.py``) ships its preset platform as such a document.
+the registry (``scenarios.py``) builds its preset platform as a `PlatformSpec`;
+`validate_platform` checks the invariants the engine relies on, and
+`serialize_platform` gives the JSON text the preset digests hash.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import PlatformFormatError, PlatformValidationError
-from .scenarios import get_scenario
+from .errors import PlatformValidationError
 
 WORKER = "worker"
 SCHEDULER = "scheduler"
@@ -93,58 +94,12 @@ def validate_platform(spec: PlatformSpec) -> None:
                 raise PlatformValidationError(f"missing route from worker {w.id} to storage {s.id}")
 
 
-def platform_from_doc(doc: dict) -> PlatformSpec:
-    """Convert a decoded platform document's fields and validate the result."""
-    if not isinstance(doc, dict):
-        raise PlatformFormatError("platform document must be a JSON object")
-    try:
-        nodes = tuple(
-            NodeSpec(
-                id=str(n["id"]),
-                role=str(n["role"]),
-                cores=int(n.get("cores", 0)),
-                core_speed_flops=float(n.get("core_speed_flops", 0.0)),
-                disk_read_bw_bps=float(n.get("disk_read_bw_bps", 0.0)),
-                disk_write_bw_bps=float(n.get("disk_write_bw_bps", 0.0)),
-            )
-            for n in doc.get("nodes", [])
-        )
-        links = tuple(
-            LinkSpec(
-                id=str(l["id"]),
-                bandwidth_bps=float(l["bandwidth_bps"]),
-                latency_s=float(l["latency_s"]),
-            )
-            for l in doc.get("links", [])
-        )
-        routes = {
-            (str(r["src"]), str(r["dst"])): tuple(str(h) for h in r["links"])
-            for r in doc.get("routes", [])
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlatformFormatError(f"malformed platform field: {exc!r}") from exc
-    spec = PlatformSpec(nodes=nodes, links=links, routes=routes)
-    validate_platform(spec)
-    return spec
-
-
 def serialize_platform(spec: PlatformSpec) -> str:
+    """JSON text of every node and link field, in declaration order, and of
+    every route in `spec.routes` order."""
     doc = {
-        "nodes": [
-            {
-                "id": n.id,
-                "role": n.role,
-                "cores": n.cores,
-                "core_speed_flops": n.core_speed_flops,
-                "disk_read_bw_bps": n.disk_read_bw_bps,
-                "disk_write_bw_bps": n.disk_write_bw_bps,
-            }
-            for n in spec.nodes
-        ],
-        "links": [
-            {"id": l.id, "bandwidth_bps": l.bandwidth_bps, "latency_s": l.latency_s}
-            for l in spec.links
-        ],
+        "nodes": [asdict(n) for n in spec.nodes],
+        "links": [asdict(l) for l in spec.links],
         "routes": [
             {"src": src, "dst": dst, "links": list(hops)}
             for (src, dst), hops in spec.routes.items()
@@ -154,5 +109,9 @@ def serialize_platform(spec: PlatformSpec) -> str:
 
 
 def builtin_platform(scenario: str) -> PlatformSpec:
-    """Return a scenario's preset platform, validated like a user's file."""
-    return platform_from_doc(get_scenario(scenario).platform())
+    """Return a scenario's preset platform, validated."""
+    from .scenarios import get_scenario  # scenarios builds its presets from this module
+
+    spec = get_scenario(scenario).platform()
+    validate_platform(spec)
+    return spec

@@ -1,10 +1,11 @@
 """The scenario registry: one entry per built-in scenario.
 
 An entry holds everything that distinguishes one scenario from another: the
-code that keys its Philox workload streams, its preset platform as a platform
-document, the storage node that holds its input files, its per-job demand
-sampler, and the feature columns a surrogate sees.  No other module branches
-on a scenario's name; they look the entry up with ``get_scenario``.
+code that keys its Philox workload streams, its preset platform (built as the
+`PlatformSpec` the engine reads), the storage node that holds its input
+files, its per-job demand sampler, and the feature columns a surrogate sees.
+No other module branches on a scenario's name; they look the entry up with
+``get_scenario``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import WorkloadError
+from .platform import SCHEDULER, STORAGE, WORKER, LinkSpec, NodeSpec, PlatformSpec
 
 # Preset constants.  The presets pin every quantity the scenario layouts leave
 # open so simulated traces are bit-reproducible.
@@ -48,64 +50,63 @@ Demand = tuple[float, float, float, float, int]
 @dataclass(frozen=True)
 class Scenario:
     code: int  # low bit of the Philox key; fixed so workload streams never change
-    platform: Callable[[], dict]  # a fresh platform document
+    platform: Callable[[], PlatformSpec]  # builds the preset platform
     storage: str  # node id holding every job's input file
     # (rng, n_jobs, job classes) -> one Demand per job, in job order
     demands: Callable[[np.random.Generator, int, tuple], Iterator[Demand]]
     features: tuple[str, ...]  # model feature columns, in order
 
 
-def _worker(node_id: str, cores: int, speed: float) -> dict:
-    return {"id": node_id, "role": "worker", "cores": cores, "core_speed_flops": speed}
+def _worker(node_id: str, cores: int, speed: float) -> NodeSpec:
+    return NodeSpec(node_id, WORKER, cores, speed)
 
 
-def _storage(node_id: str) -> dict:
-    return {"id": node_id, "role": "storage", "disk_read_bw_bps": STORAGE_DISK_BW_BPS,
-            "disk_write_bw_bps": STORAGE_DISK_BW_BPS}
+def _storage(node_id: str) -> NodeSpec:
+    return NodeSpec(node_id, STORAGE, disk_read_bw_bps=STORAGE_DISK_BW_BPS,
+                    disk_write_bw_bps=STORAGE_DISK_BW_BPS)
 
 
 def _link(link_id: str, bandwidth: float = INTRA_SITE_BW_BPS,
-          latency: float = INTRA_SITE_LATENCY_S) -> dict:
-    return {"id": link_id, "bandwidth_bps": bandwidth, "latency_s": latency}
+          latency: float = INTRA_SITE_LATENCY_S) -> LinkSpec:
+    return LinkSpec(link_id, bandwidth, latency)
 
 
-def _document(nodes: list[dict], links: list[dict], storage: str,
-              paths: dict[str, list[str]]) -> dict:
-    """Platform document routing `storage` to each worker along the links in
+def _star(nodes: list[NodeSpec], links: list[LinkSpec], storage: str,
+          paths: dict[str, list[str]]) -> PlatformSpec:
+    """A platform routing `storage` to each worker along the links in
     `paths[worker]` and back along the same links reversed."""
-    routes = []
+    routes = {}
     for worker, hops in paths.items():
-        routes.append({"src": storage, "dst": worker, "links": hops})
-        routes.append({"src": worker, "dst": storage, "links": hops[::-1]})
-    return {"nodes": nodes, "links": links, "routes": routes}
+        routes[(storage, worker)] = tuple(hops)
+        routes[(worker, storage)] = tuple(hops[::-1])
+    return PlatformSpec(tuple(nodes), tuple(links), routes)
 
 
-def _homogeneous_platform() -> dict:
+def _homogeneous_platform() -> PlatformSpec:
     """One site: three workers in a star around one storage node."""
     workers = [_worker("worker0", 24, WORKER_SPEED_FLOPS),
                _worker("worker1", 24, WORKER_SPEED_FLOPS),
                _worker("worker2", 12, SLOW_WORKER_SPEED_FLOPS)]
     storage = _storage(HOMOGENEOUS_STORAGE)
-    nodes = workers + [{"id": "scheduler0", "role": "scheduler"}, storage]
-    return _document(nodes, [_link(f"link_{n['id']}") for n in workers + [storage]],
-                     HOMOGENEOUS_STORAGE,
-                     {w["id"]: [f"link_{HOMOGENEOUS_STORAGE}", f"link_{w['id']}"]
-                      for w in workers})
+    nodes = workers + [NodeSpec("scheduler0", SCHEDULER), storage]
+    return _star(nodes, [_link(f"link_{n.id}") for n in workers + [storage]],
+                 HOMOGENEOUS_STORAGE,
+                 {w.id: [f"link_{HOMOGENEOUS_STORAGE}", f"link_{w.id}"] for w in workers})
 
 
-def _heterogeneous_platform() -> dict:
+def _heterogeneous_platform() -> PlatformSpec:
     """Ten workers beside the storage node in one datacenter, and one large
     worker in a second datacenter behind the inter-DC link."""
     dc1 = [_worker(f"dc1_worker{i:02d}", 42, WORKER_SPEED_FLOPS) for i in range(10)]
     dc2 = _worker("dc2_worker0", 200, DC2_WORKER_SPEED_FLOPS)
     storage = _storage(HETEROGENEOUS_STORAGE)
-    nodes = dc1 + [dc2, storage, {"id": "dc1_scheduler", "role": "scheduler"}]
-    links = [_link(f"link_{n['id']}") for n in dc1 + [dc2, storage]]
+    nodes = dc1 + [dc2, storage, NodeSpec("dc1_scheduler", SCHEDULER)]
+    links = [_link(f"link_{n.id}") for n in dc1 + [dc2, storage]]
     links.append(_link("link_interdc", INTER_DC_BW_BPS, INTER_DC_LATENCY_S))
     uplink = f"link_{HETEROGENEOUS_STORAGE}"
-    paths = {w["id"]: [uplink, f"link_{w['id']}"] for w in dc1}
-    paths[dc2["id"]] = [uplink, "link_interdc", f"link_{dc2['id']}"]
-    return _document(nodes, links, HETEROGENEOUS_STORAGE, paths)
+    paths = {w.id: [uplink, f"link_{w.id}"] for w in dc1}
+    paths[dc2.id] = [uplink, "link_interdc", f"link_{dc2.id}"]
+    return _star(nodes, links, HETEROGENEOUS_STORAGE, paths)
 
 
 def _homogeneous_demands(rng: np.random.Generator, n_jobs: int,

@@ -151,17 +151,14 @@ def _read_columns(source: str | Path | list[str], fields: tuple[str, ...],
                   ints: tuple[str, ...], texts: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The columns under the header `fields` of a file, or of a file's lines
     as `workload_lines` and `trace_lines` build them: `ints` as int64, `texts`
-    as strings, the rest as float64."""
+    as str objects, the rest as float64.  One np.loadtxt pass parses them all."""
     source, lines = ("lines", source) if isinstance(source, list) else (source, _read_lines(source))
     rows = _body(source, lines, fields)
-    numeric = np.dtype([(name, np.int64 if name in ints else np.float64)
-                        for name in fields if name not in texts])
-    if not rows:  # np.loadtxt would warn that the input holds no data
-        return {name: np.empty(0, str if name in texts else numeric[name]) for name in fields}
-    values = _loadtxt(source, rows, dtype=numeric, ndmin=1,
-                      usecols=[fields.index(n) for n in numeric.names])
-    return {name: _loadtxt(source, rows, dtype=str, ndmin=1, usecols=fields.index(name))
-            if name in texts else values[name] for name in fields}
+    dtype = np.dtype([(name, np.int64 if name in ints else object if name in texts
+                       else np.float64) for name in fields])
+    # np.loadtxt would warn that a header-only input holds no data
+    values = _loadtxt(source, rows, dtype=dtype, ndmin=1) if rows else np.empty(0, dtype)
+    return {name: values[name] for name in fields}
 
 
 def read_workload_csv(source: str | Path | list[str]) -> Columns:

@@ -308,6 +308,32 @@ class TestErrorPaths:
         assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
         assert "checkpoint.npz is not a checkpoint" in result.output
 
+    @pytest.mark.parametrize("doc", [{"arch": "transformer", "num_heads": 0},
+                                     {"batch_size": 0}, {"batch_size": -1}])
+    def test_degenerate_model_config_exits_6(self, pipeline_dir, tmp_path, doc):
+        manifest = self.copy_of_pipeline(pipeline_dir, tmp_path)
+        manifest.write_text(json.dumps(TINY | {"out": str(tmp_path / "out")} | doc))
+        result = CliRunner().invoke(main, ["train", "--manifest", str(manifest)])
+        assert result.exit_code == 6, result.output
+        assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
+        assert "must be positive" in result.output
+
+    @pytest.mark.parametrize("key, value", [("hidden_size", "x"), ("window_overlap", None),
+                                            ("seed", "s")])
+    def test_mistyped_checkpoint_config_exits_6(self, pipeline_dir, tmp_path, key, value):
+        manifest = self.copy_of_pipeline(pipeline_dir, tmp_path)
+        path = tmp_path / "out" / "heterogeneous" / "model" / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(arrays["__header__"].tobytes())
+        header["config"][key] = value
+        arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+        np.savez(path, **arrays)
+        result = CliRunner().invoke(main, ["evaluate", "--manifest", str(manifest)])
+        assert result.exit_code == 6, result.output
+        assert isinstance(result.exception, SystemExit)  # a typed error, no traceback
+        assert f"{key} must be an integer" in result.output
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -680,6 +680,22 @@ class TestConfigValidation:
         with pytest.raises(ModelConfigError, match="window_overlap"):
             tiny_config("bigru", window_size=4, window_overlap=4)
 
+    @pytest.mark.parametrize("arch, changes, message", [
+        ("transformer", {"num_heads": 0}, "num_heads must be positive"),
+        ("transformer", {"num_heads": -2}, "num_heads must be positive"),
+        ("bigru", {"batch_size": 0}, "batch_size must be positive"),
+        ("bilstm", {"batch_size": -1}, "batch_size must be positive"),
+        ("bigru", {"hidden_size": "x"}, "hidden_size must be an integer, got 'x'"),
+        ("bigru", {"window_overlap": None}, "window_overlap must be an integer, got None"),
+        ("transformer", {"seed": "s"}, "seed must be an integer, got 's'"),
+        ("bigru", {"num_layers": True}, "num_layers must be an integer, got True"),
+        ("bigru", {"window_size": 4.0}, "window_size must be an integer, got 4.0"),
+        ("transformer", {"input_dim": np.int64(3)}, "input_dim must be an integer"),
+    ])
+    def test_degenerate_values_are_config_errors(self, arch, changes, message):
+        with pytest.raises(ModelConfigError, match=message):
+            tiny_config(arch, **changes)
+
     def test_init_deterministic(self):
         config = tiny_config("transformer")
         a = init_params(config)

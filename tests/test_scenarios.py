@@ -8,7 +8,8 @@ import pytest
 
 from simsurrogate.engine import run_simulation
 from simsurrogate.errors import WorkloadError
-from simsurrogate.platform import builtin_platform, platform_from_doc, serialize_platform
+from simsurrogate.platform import (STORAGE, WORKER, LinkSpec, NodeSpec, PlatformSpec,
+                                   builtin_platform, serialize_platform, validate_platform)
 from simsurrogate.scenarios import SCENARIOS, get_scenario
 from simsurrogate.workload import generate_workload
 from test_engine import force_eager_rates
@@ -70,19 +71,18 @@ PROBE_WORKERS = 48
 
 def probe_star_platform():
     storage = get_scenario("heterogeneous").storage
-    workers = [f"w{i:02d}" for i in range(PROBE_WORKERS)]
-    nodes = [{"id": w, "role": "worker", "cores": 24, "core_speed_flops": 1e9}
-             for w in workers]
-    nodes.append({"id": storage, "role": "storage", "disk_read_bw_bps": 2.5e8,
-                  "disk_write_bw_bps": 2.5e8})
-    links = [{"id": f"link_{n}", "bandwidth_bps": 1.25e8, "latency_s": 1e-4}
-             for n in workers + [storage]]
-    routes = []
+    workers = [NodeSpec(f"w{i:02d}", WORKER, 24, 1e9) for i in range(PROBE_WORKERS)]
+    nodes = workers + [NodeSpec(storage, STORAGE, disk_read_bw_bps=2.5e8,
+                                disk_write_bw_bps=2.5e8)]
+    links = [LinkSpec(f"link_{n.id}", 1.25e8, 1e-4) for n in nodes]
+    routes = {}
     for w in workers:
-        hops = [f"link_{storage}", f"link_{w}"]
-        routes += [{"src": storage, "dst": w, "links": hops},
-                   {"src": w, "dst": storage, "links": hops[::-1]}]
-    return platform_from_doc({"nodes": nodes, "links": links, "routes": routes})
+        hops = (f"link_{storage}", f"link_{w.id}")
+        routes[(storage, w.id)] = hops
+        routes[(w.id, storage)] = hops[::-1]
+    spec = PlatformSpec(tuple(nodes), tuple(links), routes)
+    validate_platform(spec)
+    return spec
 
 
 @pytest.fixture(scope="module")

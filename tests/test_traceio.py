@@ -55,7 +55,7 @@ def test_trace_csv_round_trip(tmp_path, sim_data):
         # times are persisted at 9 decimal places
         assert abs(a.compute_time_s - b.compute_time_s) < 1e-9
         assert abs(a.end_time_s - b.end_time_s) < 1e-9
-        assert a.worker_id == b.worker_id
+        assert a.worker_id == b.worker_id and type(a.worker_id) is str
         assert a.input_bytes == round(b.input_bytes)
 
 
@@ -346,7 +346,10 @@ def test_lines_read_as_their_file(tmp_path, n):
         assert list(from_lines) == list(from_file)
         for name, column in from_file.items():
             assert column.dtype == from_lines[name].dtype, name
-            assert column.tobytes() == from_lines[name].tobytes(), name
+            if column.dtype == object:  # the bytes of an object column are its pointers
+                assert column.tolist() == from_lines[name].tolist(), name
+            else:
+                assert column.tobytes() == from_lines[name].tobytes(), name
 
 
 def test_awkward_rows_read_back(tmp_path):
